@@ -6,7 +6,7 @@
 //! the hierarchical partitioned PnR of a 100×100-block fabric through
 //! the sharded engine (`pmorph-exec`) against their retained flat/serial
 //! references — plus the polymorphic synthesis + personality-proof
-//! pipeline — and records six pass/fail checks:
+//! pipeline — and records seven pass/fail checks:
 //!
 //! * `sweeps_bit_identical_thread1_vs_n` — the sharded E18 study at the
 //!   host's worker count equals the flat serial study bit for bit.
@@ -20,6 +20,10 @@
 //!   workers, ≥0.45×workers with 2–7, and ≥0.7× when only one core is
 //!   available (overhead bound: sharding a serial host must stay within
 //!   ~30% of the flat loop).
+//! * `e18_direct_speedup_vs_nested` — full-scale E18 on one worker, with
+//!   its direct switching-threshold solve, is ≥20× faster than the same
+//!   samples through the nested solver it replaced (defined below from
+//!   the public `solve_vout`).
 //! * `pnr_hier_bit_identical_thread1_vs_n` — the hierarchical seeded
 //!   placement search over the 10⁴-LUT fabric is bit-identical at 1 and
 //!   N workers.
@@ -35,8 +39,10 @@ use pmorph_bench::experiments::fabric_figs::{
     fig10_adder_check, fig10_adder_check_flat, fig10_adder_vectors,
 };
 use pmorph_device::variation::{run_study_cfg, run_study_flat, VariationModel};
+use pmorph_device::{ConfigurableInverter, DgMosfet};
 use pmorph_exec::SweepConfig;
 use pmorph_util::microbench::{Criterion, Throughput};
+use pmorph_util::rng::{mix_seed, Rng, StdRng};
 use pmorph_util::{criterion_group, criterion_main, pool};
 use std::hint::black_box;
 use std::time::Instant;
@@ -64,6 +70,50 @@ fn speedup_target() -> f64 {
     } else {
         0.7
     }
+}
+
+/// Floor for `e18_direct_speedup_vs_nested`. Both legs run on one worker,
+/// so it is host-independent; it sits well under the measured ~50×.
+const DIRECT_SPEEDUP_TARGET: f64 = 20.0;
+
+/// The switching-threshold solver the direct residual solve replaced:
+/// bisection over V_in with a full output solve per step, stuck when
+/// either rail's output fails to reach the midpoint. Kept here only as
+/// the timing reference for `e18_direct_speedup_vs_nested`.
+fn nested_threshold(inv: &ConfigurableInverter) -> Option<f64> {
+    let mid = inv.vdd / 2.0;
+    if inv.solve_vout(0.0, 0.0) < mid || inv.solve_vout(inv.vdd, 0.0) > mid {
+        return None;
+    }
+    let (mut lo, mut hi) = (0.0, inv.vdd);
+    for _ in 0..60 {
+        let m = 0.5 * (lo + hi);
+        if inv.solve_vout(m, 0.0) > mid {
+            lo = m;
+        } else {
+            hi = m;
+        }
+    }
+    Some(0.5 * (lo + hi))
+}
+
+/// E18's Monte-Carlo samples (the draws of `variation::run_study`) solved
+/// serially with [`nested_threshold`].
+fn nested_e18(model: VariationModel, samples: usize, seed: u64) -> Vec<Option<f64>> {
+    let nominal = ConfigurableInverter::default();
+    let sigma = model.sigma_total();
+    (0..samples)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(mix_seed(seed, i as u64));
+            let dvt_n = sigma * rng.std_normal();
+            let dvt_p = sigma * rng.std_normal();
+            nested_threshold(&ConfigurableInverter {
+                nmos: DgMosfet { vt0: nominal.nmos.vt0 + dvt_n, ..nominal.nmos },
+                pmos: DgMosfet { vt0: nominal.pmos.vt0 + dvt_p, ..nominal.pmos },
+                vdd: nominal.vdd,
+            })
+        })
+        .collect()
 }
 
 /// Median wall-clock nanoseconds of `f` over repeated runs inside a small
@@ -182,8 +232,9 @@ fn sweeps_seq_pipeline(c: &mut Criterion) {
     );
 }
 
-/// The two tracked pass/fail checks: bit-identity across worker counts
-/// and the core-scaled sharded-vs-flat speedup floor.
+/// The tracked E18 pass/fail checks: bit-identity across worker counts,
+/// the core-scaled sharded-vs-flat speedup floor, and the direct solve's
+/// floor over the nested one.
 fn sweeps_checks(c: &mut Criterion) {
     let model = VariationModel::doped_bulk();
     let workers = sharded_workers();
@@ -211,6 +262,19 @@ fn sweeps_checks(c: &mut Criterion) {
     assert!(
         c.record_check("e18_sharded_speedup_vs_flat", speedup >= target),
         "sharded E18 speedup {speedup:.2}x under core-scaled target {target:.2}x"
+    );
+
+    let direct_ns =
+        median_run_ns(budget_ms, || run_study_cfg(model, E18_SAMPLES, 1, 0.3, 0.7, &serial_cfg));
+    let nested_ns = median_run_ns(budget_ms, || nested_e18(model, E18_SAMPLES, 1));
+    let speedup = nested_ns / direct_ns;
+    println!(
+        "sweeps/e18_direct_speedup: {speedup:.1}x (nested {nested_ns:.0} ns / direct \
+         {direct_ns:.0} ns, 1 worker, target {DIRECT_SPEEDUP_TARGET:.0}x)"
+    );
+    assert!(
+        c.record_check("e18_direct_speedup_vs_nested", speedup >= DIRECT_SPEEDUP_TARGET),
+        "direct E18 speedup {speedup:.1}x under target {DIRECT_SPEEDUP_TARGET:.0}x"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Validate a `BENCH_*.json` perf-baseline artifact written by the
 //! microbench JSON sink (`PMORPH_BENCH_JSON`).
 //!
-//! Usage: `benchcheck <path> [required-bench-prefix ...]
+//! Usage: `benchcheck <path> [required-bench-prefix ...] [--check <name> ...]
 //!                    [--baseline <BENCH_*.json>] [--max-regress-pct <pct>]`
 //!
 //! Checks, in order:
@@ -11,7 +11,7 @@
 //!    `null` median (the old empty-sample serialization bug) is called
 //!    out explicitly,
 //! 3. every recorded pass/fail check passed (e.g. the allocation-free
-//!    steady-state assertion),
+//!    steady-state assertion), and each `--check` name was recorded,
 //! 4. each required prefix (default: the three tracked kernel event
 //!    workloads) matches at least one bench that reports `units_per_sec`
 //!    (the events/second figure the baseline exists to track),
@@ -54,6 +54,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut required: Vec<String> = Vec::new();
+    let mut required_checks: Vec<String> = Vec::new();
     let mut baseline_path: Option<String> = None;
     let mut max_regress_pct = 10.0f64;
     let mut it = args.into_iter();
@@ -62,6 +63,11 @@ fn main() {
             baseline_path = it.next();
             if baseline_path.is_none() {
                 fail("--baseline needs a path");
+            }
+        } else if a == "--check" {
+            match it.next() {
+                Some(name) => required_checks.push(name),
+                None => fail("--check needs a check name"),
             }
         } else if a == "--max-regress-pct" {
             max_regress_pct = match it.next().as_deref().map(str::parse) {
@@ -76,7 +82,7 @@ fn main() {
     }
     let Some(path) = path else {
         fail(
-            "usage: benchcheck <BENCH_*.json> [required-bench-prefix ...] \
+            "usage: benchcheck <BENCH_*.json> [required-bench-prefix ...] [--check <name> ...] \
              [--baseline <BENCH_*.json>] [--max-regress-pct <pct>]",
         );
     };
@@ -123,6 +129,11 @@ fn main() {
         let name = c.get("name").and_then(Value::as_str).unwrap_or("<unnamed>");
         if c.get("pass").and_then(Value::as_bool) != Some(true) {
             fail(&format!("{path}: check `{name}` failed"));
+        }
+    }
+    for name in &required_checks {
+        if !checks.iter().any(|c| c.get("name").and_then(Value::as_str) == Some(name)) {
+            fail(&format!("{path}: required check `{name}` was not recorded"));
         }
     }
 

@@ -353,11 +353,12 @@ pub fn study_thermal() -> Experiment {
         let states = RtdStack::new(rtd.clone(), 0.9).stable_states().len();
         let (nml, nmh) = inv.noise_margins(0.0).unwrap_or((0.0, 0.0));
         let margin = nml + nmh;
+        let gain = inv.peak_gain(0.0);
         rows.push(format!(
             "{t:<6.0} {:>8.0} {:>9.0} {:>10.1} {:>11} {:>5.1}",
             nml * 1e3,
             nmh * 1e3,
-            inv.peak_gain(0.0),
+            gain,
             states,
             rtd.pvr()
         ));
@@ -365,7 +366,7 @@ pub fn study_thermal() -> Experiment {
         pass &= margin < last_margin + 0.02;
         last_margin = margin;
         pass &= states == 3;
-        pass &= inv.peak_gain(0.0) > 1.0;
+        pass &= gain > 1.0;
     }
     Experiment {
         id: "E23/§1+§5",
@@ -399,9 +400,11 @@ pub fn study_general_mapper_scaled(count: usize) -> Experiment {
             tiles = mapped.tiles;
             stitches = mapped.stitches.len();
             let elab = mapped.elaborate(&fabric, &FabricTiming::default());
+            let mut sim = Simulator::new(elab.netlist.clone());
+            let initial = sim.snapshot();
             let mut all_ok = true;
             for m in 0..(1u64 << n) {
-                let mut sim = Simulator::new(elab.netlist.clone());
+                sim.restore(&initial);
                 for (v, ports) in mapped.var_ports.iter().enumerate() {
                     for p in ports {
                         sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));

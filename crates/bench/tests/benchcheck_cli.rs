@@ -69,6 +69,22 @@ fn rejects_missing_required_workload_and_failed_checks() {
 }
 
 #[test]
+fn required_check_must_be_recorded() {
+    let recorded = r#"{ "budget_ms": 20,
+        "benches": [{ "name": "kernel/x_events/s", "median_ns": 10.0, "iters": 4,
+                      "units_per_sec": 1.0 }],
+        "checks": [{ "name": "speedup_floor", "pass": true }] }"#;
+    let p = write_tmp("reqcheck.json", recorded);
+    let ok = run(&[p.to_str().unwrap(), "kernel/x_events", "--check", "speedup_floor"]);
+    let missing = run(&[p.to_str().unwrap(), "kernel/x_events", "--check", "other_floor"]);
+    std::fs::remove_file(&p).ok();
+    assert!(ok.status.success(), "stderr: {}", String::from_utf8_lossy(&ok.stderr));
+    assert!(!missing.status.success(), "an unrecorded required check must fail");
+    assert!(String::from_utf8_lossy(&missing.stderr)
+        .contains("required check `other_floor` was not recorded"));
+}
+
+#[test]
 fn baseline_gate_passes_within_tolerance_and_fails_beyond_it() {
     let base = write_tmp("base.json", &doc(&bench("kernel/x_events/sweep", "100.0")));
     let same = write_tmp("same.json", &doc(&bench("kernel/x_events/sweep", "105.0")));

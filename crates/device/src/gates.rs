@@ -14,7 +14,7 @@
 
 use crate::leaf::Trit;
 use crate::mosfet::DgMosfet;
-use crate::vtc::ConfigurableInverter;
+use crate::vtc::{bisect, ConfigurableInverter};
 
 /// Fraction of VDD below/above which a solved node is called 0/1.
 const LOGIC_LO_FRAC: f64 = 0.15;
@@ -62,40 +62,20 @@ impl ConfigurableNand {
     fn series_current(&self, va: f64, vb: f64, vga: f64, vgb: f64, vout: f64) -> f64 {
         // Stack: vout — [NMOS_A gate=va bias=vga] — v_mid — [NMOS_B gate=vb
         // bias=vgb] — GND. g(v_mid) = I_B(v_mid) − I_A(v_mid) is increasing.
-        let g = |vmid: f64| {
+        let vmid = bisect(0.0, vout.max(1e-12), 60, |vmid| {
             self.nmos.current(vb, 0.0, vmid, vgb) - self.nmos.current(va, vmid, vout, vga)
-        };
-        let (mut lo, mut hi) = (0.0, vout.max(1e-12));
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if g(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let vmid = 0.5 * (lo + hi);
+        });
         self.nmos.current(vb, 0.0, vmid, vgb)
     }
 
     /// Solve the static output voltage for inputs `(va, vb)` under
     /// per-input back-gate biases `(vga, vgb)`.
     pub fn solve_vout(&self, va: f64, vb: f64, vga: f64, vgb: f64) -> f64 {
-        let h = |vout: f64| {
+        bisect(0.0, self.vdd, 70, |vout| {
             self.series_current(va, vb, vga, vgb, vout)
                 - self.pmos.current(va, self.vdd, vout, vga)
                 - self.pmos.current(vb, self.vdd, vout, vgb)
-        };
-        let (mut lo, mut hi) = (0.0, self.vdd);
-        for _ in 0..70 {
-            let mid = 0.5 * (lo + hi);
-            if h(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        })
     }
 
     /// Logic value of a solved node, if unambiguous.
@@ -278,6 +258,44 @@ impl ConfigurableDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vtc::bisect_fixed;
+
+    #[test]
+    fn early_exit_is_bit_exact_against_fixed_step_counts() {
+        let g = ConfigurableNand::default();
+        // fixed-count copies of both nested loops: 60 steps for the stack's
+        // internal node, 70 for the output
+        let series_fixed = |va: f64, vb: f64, vga: f64, vgb: f64, vout: f64| {
+            let vmid = bisect_fixed(0.0, vout.max(1e-12), 60, |vmid| {
+                g.nmos.current(vb, 0.0, vmid, vgb) - g.nmos.current(va, vmid, vout, vga)
+            });
+            g.nmos.current(vb, 0.0, vmid, vgb)
+        };
+        let levels = [0.0, 0.2, 0.45, 0.7, 1.0];
+        let biases = [-1.5, -0.6, 0.0, 0.6, 1.5];
+        for va in levels {
+            for vb in levels {
+                for vga in biases {
+                    for vgb in biases {
+                        for vout in [1e-13, 0.05, 0.5, 0.95] {
+                            let (got, want) = (
+                                g.series_current(va, vb, vga, vgb, vout),
+                                series_fixed(va, vb, vga, vgb, vout),
+                            );
+                            assert_eq!(got.to_bits(), want.to_bits(), "stack at vout {vout}");
+                        }
+                        let want = bisect_fixed(0.0, g.vdd, 70, |vout| {
+                            series_fixed(va, vb, vga, vgb, vout)
+                                - g.pmos.current(va, g.vdd, vout, vga)
+                                - g.pmos.current(vb, g.vdd, vout, vgb)
+                        });
+                        let got = g.solve_vout(va, vb, vga, vgb);
+                        assert_eq!(got.to_bits(), want.to_bits(), "({va}, {vb}) at ({vga}, {vgb})");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn nand_active_mode_truth_table() {

@@ -16,8 +16,9 @@
 //! V_T  = V_T0 − γ·V_GB        (back-gate modulation)
 //! ```
 //!
-//! which is monotone in every terminal voltage — exactly what the nested
-//! bisection solvers in [`crate::vtc`] and [`crate::gates`] need.
+//! which is monotone in every terminal voltage — exactly what the bisection
+//! solvers in [`crate::vtc`] and [`crate::gates`] need: each one finds the
+//! root of a current balance that is monotone in its unknown voltage.
 
 /// Thermal voltage at 300 K (V).
 pub const PHI_T: f64 = 0.02585;

@@ -8,9 +8,10 @@
 //! bulk channel at 10 nm holds only a handful of dopant atoms, so Poisson
 //! counting statistics produce large σ(V_T); the undoped DG channel keeps
 //! only the (much smaller) body-thickness term. The study samples inverter
-//! pairs, solves each sample's switching threshold with the real VTC
-//! solver, and reports the distribution plus a noise-margin failure rate —
-//! worker-pool-parallel across samples, deterministically seeded.
+//! pairs, solves each sample's switching threshold with the direct
+//! current-balance solve of [`crate::vtc`], and reports the distribution
+//! plus a noise-margin failure rate. Each sample is one item of a
+//! `pmorph_exec::sweep`, deterministically seeded from its index.
 
 use crate::mosfet::DgMosfet;
 use crate::vtc::ConfigurableInverter;
@@ -78,58 +79,29 @@ pub fn run_study(
     run_study_cfg(model, samples, seed, lo_frac, hi_frac, &SweepConfig::new().with_seed(seed))
 }
 
-/// One sample's switching-threshold solve — the per-item kernel shared by
-/// the sharded and flat paths. Seeded from the item index alone (rule 1
-/// of the exec determinism contract), so any schedule yields the same
-/// bits.
-fn sample_threshold(
+/// Monte-Carlo inverter `i`, the per-item input of both the sharded and
+/// flat paths: both devices' V_T0 perturbed by independent `sigma`-wide
+/// normal draws. Seeded from the item index alone (rule 1 of the exec
+/// determinism contract), so any schedule yields the same bits.
+pub(crate) fn sample_inverter(
     sigma: f64,
     nominal: &ConfigurableInverter,
     seed: u64,
     i: usize,
-) -> Option<f64> {
+) -> ConfigurableInverter {
     let mut rng = StdRng::seed_from_u64(mix_seed(seed, i as u64));
     let dvt_n = sigma * rng.std_normal();
     let dvt_p = sigma * rng.std_normal();
-    let inv = ConfigurableInverter {
+    ConfigurableInverter {
         nmos: DgMosfet { vt0: nominal.nmos.vt0 + dvt_n, ..nominal.nmos },
         pmos: DgMosfet { vt0: nominal.pmos.vt0 + dvt_p, ..nominal.pmos },
         vdd: nominal.vdd,
-    };
-    inv.switching_threshold(0.0)
+    }
 }
 
 /// [`run_study`] under an explicit sweep configuration (worker count,
 /// shard size) — bit-identical to the default and to the flat reference
 /// at any setting.
-/// One shard item of the word-sharded study: up to 64 consecutive
-/// samples' thresholds (index order within the word) plus a per-lane
-/// failure mask — the sampled parameter only gates pass/fail bits, so
-/// the reduction counts failures with popcounts instead of re-testing.
-fn sample_word(
-    sigma: f64,
-    nominal: &ConfigurableInverter,
-    seed: u64,
-    base: usize,
-    lanes: usize,
-    lo_frac: f64,
-    hi_frac: f64,
-) -> (Vec<Option<f64>>, u64) {
-    let mut thresholds = Vec::with_capacity(lanes);
-    let mut fail = 0u64;
-    for l in 0..lanes {
-        let t = sample_threshold(sigma, nominal, seed, base + l);
-        // exact same predicate as the flat reference's reduce_study
-        let bad = match t {
-            None => true,
-            Some(v) => v < lo_frac * nominal.vdd || v > hi_frac * nominal.vdd,
-        };
-        fail |= (bad as u64) << l;
-        thresholds.push(t);
-    }
-    (thresholds, fail)
-}
-
 pub fn run_study_cfg(
     model: VariationModel,
     samples: usize,
@@ -141,20 +113,11 @@ pub fn run_study_cfg(
     let nominal = ConfigurableInverter::default();
     let sigma = model.sigma_total();
     let t0 = pmorph_obs::enabled().then(std::time::Instant::now);
-    // whole words as shard items: 64 Monte-Carlo samples per item, drawn
-    // serially in index order within the word, so the flattened threshold
-    // stream — and therefore every float in the summary — is bit-identical
-    // to the per-sample flat loop at any worker count or shard geometry.
-    let words = samples.div_ceil(64);
-    let word_results = sweep(
-        words,
+    let thresholds = sweep(
+        samples,
         cfg,
         || (),
-        |_, item| {
-            let base = item.index * 64;
-            let lanes = (samples - base).min(64);
-            sample_word(sigma, &nominal, seed, base, lanes, lo_frac, hi_frac)
-        },
+        |_, item| sample_inverter(sigma, &nominal, seed, item.index).switching_threshold(0.0),
     )
     .results;
     if let Some(t0) = t0 {
@@ -166,9 +129,7 @@ pub fn run_study_cfg(
                 .set(samples as f64 * 1.0e9 / ns as f64);
         }
     }
-    let failures: usize = word_results.iter().map(|(_, f)| f.count_ones() as usize).sum();
-    let ok: Vec<f64> = word_results.iter().flat_map(|(t, _)| t.iter().filter_map(|v| *v)).collect();
-    summarize(samples, &ok, failures)
+    reduce_study(samples, &nominal, &thresholds, lo_frac, hi_frac)
 }
 
 /// The pre-exec flat path (`pool::par_map_range` at an explicit worker
@@ -185,12 +146,15 @@ pub fn run_study_flat(
 ) -> VariationStudy {
     let nominal = ConfigurableInverter::default();
     let sigma = model.sigma_total();
-    let thresholds: Vec<Option<f64>> =
-        pool::par_map_range_with(samples, workers, |i| sample_threshold(sigma, &nominal, seed, i));
+    let thresholds: Vec<Option<f64>> = pool::par_map_range_with(samples, workers, |i| {
+        sample_inverter(sigma, &nominal, seed, i).switching_threshold(0.0)
+    });
     reduce_study(samples, &nominal, &thresholds, lo_frac, hi_frac)
 }
 
-/// Index-order reduction from per-sample thresholds to the study summary.
+/// Index-order reduction from per-sample thresholds to the study summary:
+/// identical expressions over an identical index-ordered stream give
+/// identical bits on every path.
 fn reduce_study(
     samples: usize,
     nominal: &ConfigurableInverter,
@@ -206,12 +170,6 @@ fn reduce_study(
             Some(v) => *v < lo_frac * nominal.vdd || *v > hi_frac * nominal.vdd,
         })
         .count();
-    summarize(samples, &ok, failures)
-}
-
-/// Shared float tail of both reductions: identical expressions over an
-/// identical index-ordered `ok` stream ⇒ identical bits.
-fn summarize(samples: usize, ok: &[f64], failures: usize) -> VariationStudy {
     let mean = ok.iter().sum::<f64>() / ok.len().max(1) as f64;
     let var = ok.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / ok.len().max(1) as f64;
     VariationStudy {

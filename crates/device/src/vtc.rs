@@ -6,9 +6,31 @@
 //! output sticks at a rail — which is precisely how a leaf cell is turned
 //! into "interconnect" (stuck-on), "nothing" (stuck-off) or "logic"
 //! (active). This module solves the static transfer curve by bisection on
-//! the monotone current-balance equation.
+//! the monotone current-balance equation. The switching threshold is the
+//! root of the same balance with the output pinned at the supply midpoint,
+//! so it takes one bracketed solve over the input rather than a solve per
+//! input step.
 
 use crate::mosfet::DgMosfet;
+
+/// Root of an increasing function on `[lo, hi]` by plain bisection: up to
+/// `steps` halvings, stopping once the midpoint rounds to an endpoint.
+/// From then on every halving would leave the answer unchanged, so the
+/// early exit returns the bits the full step count would.
+pub(crate) fn bisect(mut lo: f64, mut hi: f64, steps: usize, f: impl Fn(f64) -> f64) -> f64 {
+    for _ in 0..steps {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if f(mid) > 0.0 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
 
 /// One sample of a voltage transfer curve.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -61,20 +83,18 @@ impl ConfigurableInverter {
     /// Bisection on `I_N(V_out) − I_P(V_out)`, strictly increasing in
     /// `V_out`.
     pub fn solve_vout_biased(&self, vin: f64, vg_n: f64, vg_p: f64) -> f64 {
-        let f = |vout: f64| {
+        // ≤ 0 at V_out = 0 (no NMOS current, PMOS sourcing), ≥ 0 at VDD
+        bisect(0.0, self.vdd, 80, |vout| {
             self.nmos.current(vin, 0.0, vout, vg_n) - self.pmos.current(vin, self.vdd, vout, vg_p)
-        };
-        let (mut lo, mut hi) = (0.0, self.vdd);
-        // f(0) ≤ 0 (no NMOS current, PMOS sourcing), f(VDD) ≥ 0.
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if f(mid) > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        0.5 * (lo + hi)
+        })
+    }
+
+    /// Current balance `I_N − I_P` at input `vin` with the output held at
+    /// VDD/2. It rises with `vin`, and `V_out(vin) = VDD/2` exactly where
+    /// it is zero.
+    fn midpoint_residual(&self, vin: f64, vg2: f64) -> f64 {
+        let mid = self.vdd / 2.0;
+        self.nmos.current(vin, 0.0, mid, vg2) - self.pmos.current(vin, self.vdd, mid, vg2)
     }
 
     /// Sample the full transfer curve with `points` samples.
@@ -88,38 +108,25 @@ impl ConfigurableInverter {
             .collect()
     }
 
-    /// Input voltage at which the output crosses VDD/2, if it does.
-    /// (Bisection on the monotonically falling V_out(V_in).)
+    /// Input voltage at which the output crosses VDD/2, if it does: the
+    /// root of [`Self::midpoint_residual`] on `[0, VDD]`. A residual that is
+    /// already positive at `vin = 0` (output below the midpoint) or still
+    /// negative at `vin = VDD` (output above it) means the output never
+    /// crosses: the pair is stuck.
     pub fn switching_threshold(&self, vg2: f64) -> Option<f64> {
-        let mid = self.vdd / 2.0;
-        let hi0 = self.solve_vout(0.0, vg2);
-        let lo1 = self.solve_vout(self.vdd, vg2);
-        if hi0 < mid || lo1 > mid {
-            return None; // output never crosses the midpoint: stuck
+        let r = |vin: f64| self.midpoint_residual(vin, vg2);
+        if r(0.0) > 0.0 || r(self.vdd) < 0.0 {
+            return None;
         }
-        let (mut lo, mut hi) = (0.0, self.vdd);
-        for _ in 0..60 {
-            let m = 0.5 * (lo + hi);
-            if self.solve_vout(m, vg2) > mid {
-                lo = m;
-            } else {
-                hi = m;
-            }
-        }
-        Some(0.5 * (lo + hi))
+        Some(bisect(0.0, self.vdd, 60, r))
     }
 
     /// Classify the configured behaviour (the trichotomy of Fig. 3).
     pub fn behaviour(&self, vg2: f64) -> InverterBehaviour {
         match self.switching_threshold(vg2) {
             Some(_) => InverterBehaviour::Active,
-            None => {
-                if self.solve_vout(0.0, vg2) > self.vdd / 2.0 {
-                    InverterBehaviour::StuckHigh
-                } else {
-                    InverterBehaviour::StuckLow
-                }
-            }
+            None if self.midpoint_residual(0.0, vg2) > 0.0 => InverterBehaviour::StuckLow,
+            None => InverterBehaviour::StuckHigh,
         }
     }
 
@@ -189,9 +196,121 @@ impl ConfigurableInverter {
     }
 }
 
+/// [`bisect`] without the early exit: all `steps` halvings, always. The
+/// oracle the early exit must match bit for bit.
+#[cfg(test)]
+pub(crate) fn bisect_fixed(mut lo: f64, mut hi: f64, steps: usize, f: impl Fn(f64) -> f64) -> f64 {
+    for _ in 0..steps {
+        let mid = 0.5 * (lo + hi);
+        if f(mid) > 0.0 {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmorph_util::pool;
+
+    /// The nested switching-threshold solver the direct residual solve
+    /// replaced: bisection over V_in with a full output solve per step,
+    /// stuck when either rail's output fails to reach the midpoint.
+    fn nested_threshold(inv: &ConfigurableInverter, vg2: f64) -> Option<f64> {
+        let mid = inv.vdd / 2.0;
+        if inv.solve_vout(0.0, vg2) < mid || inv.solve_vout(inv.vdd, vg2) > mid {
+            return None;
+        }
+        let (mut lo, mut hi) = (0.0, inv.vdd);
+        for _ in 0..60 {
+            let m = 0.5 * (lo + hi);
+            if inv.solve_vout(m, vg2) > mid {
+                lo = m;
+            } else {
+                hi = m;
+            }
+        }
+        Some(0.5 * (lo + hi))
+    }
+
+    /// The nested solver's classification: stuck high when the output at
+    /// `vin = 0` sits above the midpoint.
+    fn nested_behaviour(inv: &ConfigurableInverter, vg2: f64) -> InverterBehaviour {
+        match nested_threshold(inv, vg2) {
+            Some(_) => InverterBehaviour::Active,
+            None if inv.solve_vout(0.0, vg2) > inv.vdd / 2.0 => InverterBehaviour::StuckHigh,
+            None => InverterBehaviour::StuckLow,
+        }
+    }
+
+    /// Inverter `i` of a seeded σ = 60 mV population, drawn as E18 draws.
+    fn perturbed(i: usize) -> ConfigurableInverter {
+        crate::variation::sample_inverter(0.060, &ConfigurableInverter::default(), 0x18, i)
+    }
+
+    #[test]
+    fn direct_threshold_matches_nested_oracle() {
+        // 10^4 samples at zero bias, plus samples at the biases where a
+        // 60 mV spread straddles the stuck boundary (around ±1.1 V)
+        let cases: Vec<(usize, f64)> = (0..10_000)
+            .map(|i| (i, 0.0))
+            .chain(
+                [-1.5, -1.2, -1.1, -1.0, -0.9, 0.9, 1.0, 1.1, 1.2, 1.5]
+                    .into_iter()
+                    .flat_map(|vg2| (0..400).map(move |i| (i, vg2))),
+            )
+            .collect();
+        let workers = pool::worker_count().min(4);
+        let solved = pool::par_map_range_with(cases.len(), workers, |k| {
+            let (i, vg2) = cases[k];
+            let inv = perturbed(i);
+            let direct = (inv.switching_threshold(vg2), inv.behaviour(vg2));
+            (direct, (nested_threshold(&inv, vg2), nested_behaviour(&inv, vg2)))
+        });
+        let mut stuck = 0;
+        for (&(i, vg2), &((th, b), (want_th, want_b))) in cases.iter().zip(&solved) {
+            let close = match (th, want_th) {
+                (Some(a), Some(w)) => (a - w).abs() <= 1e-12,
+                (a, w) => a.is_none() && w.is_none(),
+            };
+            assert!(
+                close && b == want_b,
+                "sample {i} at vg2 {vg2}: {th:?} {b:?}, oracle {want_th:?} {want_b:?}"
+            );
+            stuck += th.is_none() as usize;
+        }
+        // the boundary biases really do split the population
+        let boundary = cases.len() - 10_000;
+        assert!(stuck > boundary / 10 && stuck < boundary * 9 / 10, "{stuck} of {boundary} stuck");
+    }
+
+    #[test]
+    fn early_exit_is_bit_exact_against_fixed_step_counts() {
+        let grid = |n: usize, lo: f64, hi: f64| -> Vec<f64> {
+            (0..=n).map(|k| lo + (hi - lo) * k as f64 / n as f64).collect()
+        };
+        for inv in [ConfigurableInverter::default(), perturbed(7)] {
+            for vg_n in grid(12, -2.0, 2.0) {
+                for vg_p in [vg_n, -vg_n, 0.0] {
+                    for vin in grid(20, 0.0, inv.vdd) {
+                        let fixed = bisect_fixed(0.0, inv.vdd, 80, |vout| {
+                            inv.nmos.current(vin, 0.0, vout, vg_n)
+                                - inv.pmos.current(vin, inv.vdd, vout, vg_p)
+                        });
+                        let got = inv.solve_vout_biased(vin, vg_n, vg_p);
+                        assert_eq!(got.to_bits(), fixed.to_bits(), "vin {vin} vg ({vg_n}, {vg_p})");
+                    }
+                }
+                let fixed = bisect_fixed(0.0, inv.vdd, 60, |vin| inv.midpoint_residual(vin, vg_n));
+                if let Some(th) = inv.switching_threshold(vg_n) {
+                    assert_eq!(th.to_bits(), fixed.to_bits(), "threshold at vg2 {vg_n}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn active_inverter_switches_near_midpoint() {

@@ -208,14 +208,14 @@ fn err(msg: impl Into<String>) -> SpecError {
 fn get_int(obj: &Value, key: &str, min: u64, max: u64) -> Result<u64, SpecError> {
     let v = obj.get(key).ok_or_else(|| err(format!("missing field `{key}`")))?;
     let x = v.as_f64().ok_or_else(|| err(format!("field `{key}` must be a number")))?;
-    if x.fract() != 0.0 || !(0.0..=9.0e15).contains(&x) {
+    if x.fract() != 0.0 || x < 0.0 {
         return Err(err(format!("field `{key}` must be a non-negative integer")));
     }
-    let n = x as u64;
-    if !(min..=max).contains(&n) {
-        return Err(err(format!("field `{key}` must be in {min}..={max}, got {n}")));
+    // compared as f64 so a value past u64 is reported as given, not saturated
+    if !(min as f64..=max as f64).contains(&x) {
+        return Err(err(format!("field `{key}` must be in {min}..={max}, got {x}")));
     }
-    Ok(n)
+    Ok(x as u64)
 }
 
 fn get_f64(obj: &Value, key: &str, min: f64, max: f64) -> Result<f64, SpecError> {
@@ -896,6 +896,74 @@ mod tests {
         )
         .unwrap();
         assert_ne!(base.cache_key(), tweaked.cache_key());
+    }
+
+    #[test]
+    fn seed_range_is_decided_by_the_field_bounds() {
+        // 2^53 − 1, the largest declared seed, parses and round-trips
+        for text in [
+            r#"{"type":"fault_campaign","width":4,"height":4,"rate":0.01,"trials":3,"seed":9007199254740991}"#,
+            r#"{"type":"place_route","circuit":"parity_tree","size":8,"candidates":4,"seed":9007199254740991}"#,
+        ] {
+            let spec = parse_spec(text).unwrap();
+            let again = parse_spec(&spec.canonical()).unwrap();
+            assert_eq!(spec, again, "{text}");
+            assert_eq!(spec.cache_key(), again.cache_key(), "{text}");
+        }
+        // one past it is out of range, with the range message
+        for text in [
+            r#"{"type":"fault_campaign","width":4,"height":4,"rate":0.01,"trials":3,"seed":9007199254740992}"#,
+            r#"{"type":"place_route","circuit":"parity_tree","size":8,"candidates":4,"seed":9007199254740992}"#,
+        ] {
+            let e = parse_spec(text).unwrap_err();
+            assert!(
+                e.0.contains("field `seed` must be in 0..=9007199254740991, got 9007199254740992"),
+                "{text}: got {e}"
+            );
+        }
+        let e = parse_spec(r#"{"type":"sleep","steps":1e20,"step_ms":0}"#).unwrap_err();
+        assert!(e.0.contains("must be in 0..=10000, got 100000000000000000000"), "{e}");
+    }
+
+    #[test]
+    fn canonical_strings_and_cache_keys_are_pinned() {
+        // content addresses are persistent: these bytes and keys must not move
+        for (text, canonical, key) in [
+            (
+                r#"{"seed":7,"trials":3,"rate":0.01,"height":4,"width":4,"type":"fault_campaign"}"#,
+                r#"{"type":"fault_campaign","width":4,"height":4,"rate":0.01,"trials":3,"seed":7}"#,
+                0x461f_f5a9_f471_54ce,
+            ),
+            (
+                r#"{"type":"fault_campaign","width":4,"height":4,"rate":0.01,"trials":3,"seed":4503599627370496}"#,
+                r#"{"type":"fault_campaign","width":4,"height":4,"rate":0.01,"trials":3,"seed":4503599627370496}"#,
+                0x24ef_368f_e44b_e0b6,
+            ),
+            (
+                r#"{"type":"place_route","circuit":"parity_tree","size":8,"candidates":4,"seed":9}"#,
+                r#"{"type":"place_route","circuit":"parity_tree","size":8,"candidates":4,"seed":9,"partitions":0}"#,
+                0x5653_fce7_9beb_1963,
+            ),
+            (
+                r#"{"type":"seq_sweep","circuit":"shift_register","size":4,"cycles":9}"#,
+                r#"{"type":"seq_sweep","circuit":"shift_register","size":4,"cycles":9}"#,
+                0xe296_5718_5a58_64b9,
+            ),
+            (
+                r#"{"type":"truth_sweep","circuit":"parity_tree","size":6}"#,
+                r#"{"type":"truth_sweep","circuit":"parity_tree","size":6}"#,
+                0x551c_b53d_779c_7e19,
+            ),
+            (
+                r#"{"type":"sleep","steps":1,"step_ms":0}"#,
+                r#"{"type":"sleep","steps":1,"step_ms":0}"#,
+                0xfbe3_af41_e777_2921,
+            ),
+        ] {
+            let spec = parse_spec(text).unwrap();
+            assert_eq!(spec.canonical(), canonical, "{text}");
+            assert_eq!(spec.cache_key(), key, "{text}");
+        }
     }
 
     #[test]

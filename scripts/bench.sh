@@ -75,6 +75,7 @@ fi
 echo "== validate $SWEEPS_OUT =="
 cargo run -q -p pmorph-bench --bin benchcheck -- "$SWEEPS_OUT" \
     sweeps/e18_variation/sharded sweeps/e18_variation/flat \
+    --check e18_direct_speedup_vs_nested \
     sweeps/e19_faults/sharded sweeps/fig10_adder/sharded \
     sweeps/seq_pipeline/sharded \
     sweeps/poly_synth/synth sweeps/poly_synth/verify \

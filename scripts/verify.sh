@@ -84,6 +84,7 @@ PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_sweeps.smoke.json" \
     cargo bench -q -p pmorph-bench --bench sweeps >/dev/null
 cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_sweeps.smoke.json \
     sweeps/e18_variation/sharded sweeps/e18_variation/flat \
+    --check e18_direct_speedup_vs_nested \
     sweeps/e19_faults/sharded sweeps/fig10_adder/sharded \
     sweeps/seq_pipeline/sharded \
     sweeps/poly_synth/synth sweeps/poly_synth/verify \
