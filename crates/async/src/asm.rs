@@ -241,7 +241,7 @@ mod tests {
         let mut fabric = Fabric::new(4, 1);
         let ports = synth_asm(&mut fabric, 0, 0, &spec).expect("compiles");
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         // initialise into a known state: find a reset input, else drive 0s
         let reset_input =
             (0..(1u64 << spec.n_inputs)).find(|&m| spec.reaction(m) == Some(false)).unwrap_or(0);
@@ -356,7 +356,7 @@ mod tests {
         let mut fabric = Fabric::new(4, 1);
         let ports = synth_asm(&mut fabric, 0, 0, &spec).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let drive = |sim: &mut Simulator, m: u64| {
             for (v, p) in ports.inputs.iter().enumerate() {
                 sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));

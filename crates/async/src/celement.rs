@@ -163,7 +163,7 @@ mod tests {
         let mut fabric = Fabric::new(3, 1);
         let p = c_element(&mut fabric, 0, 0).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let (a, b, c, cn) = (p.a.net(&elab), p.b.net(&elab), p.c.net(&elab), p.cn.net(&elab));
         // initialise: both low → output low
         sim.drive(a, Logic::L0);
@@ -194,7 +194,7 @@ mod tests {
         let mut fabric = Fabric::new(3, 1);
         let p = c_element_resettable(&mut fabric, 0, 0).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         // inputs deliberately left X (undriven b), reset asserted
         sim.drive(p.a.net(&elab), Logic::L0);
         sim.drive(p.reset_n.net(&elab), Logic::L0);
@@ -225,7 +225,7 @@ mod tests {
         let mut fabric = Fabric::new(3, 1);
         let p = c_element(&mut fabric, 0, 0).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
 
         let mut bnl = pmorph_sim::NetlistBuilder::new();
         let ba = bnl.net("a");

@@ -227,7 +227,7 @@ mod tests {
             let nl = b.build();
             for (i, vx) in [false, true].into_iter().enumerate() {
                 for (j, vy) in [false, true].into_iter().enumerate() {
-                    let mut sim = Simulator::new(nl.clone());
+                    let mut sim = Simulator::new(&nl);
                     // spacer first, then data (DI protocol)
                     drive_rail(&mut sim, x, None, 0);
                     drive_rail(&mut sim, y, None, 0);
@@ -285,7 +285,7 @@ mod tests {
         for a in [false, true] {
             for bb in [false, true] {
                 for c in [false, true] {
-                    let mut sim = Simulator::new(nl.clone());
+                    let mut sim = Simulator::new(&nl);
                     // spacer phase
                     for dr in [fa.a, fa.b, fa.cin] {
                         drive_rail(&mut sim, dr, None, 0);
@@ -320,7 +320,7 @@ mod tests {
         for _ in 0..10 {
             let va = rng.random::<u64>() & 0x1F;
             let vb = rng.random::<u64>() & 0x1F;
-            let mut sim = Simulator::new(nl.clone());
+            let mut sim = Simulator::new(&nl);
             // spacer phase on every rail
             for i in 0..n {
                 drive_rail(&mut sim, add.a[i], None, 0);

@@ -97,7 +97,7 @@ mod tests {
         let mut fabric = Fabric::new(6, 1);
         let p = ecse(&mut fabric, 0, 0).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let sim = Simulator::new(elab.netlist.clone());
+        let sim = Simulator::new(&elab.netlist);
         let h = Harness {
             din: p.din.net(&elab),
             req: p.req.net(&elab),

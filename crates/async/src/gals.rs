@@ -112,7 +112,6 @@ impl GalsSystem {
         };
         let ack_synced_a = two_flop(&mut nl, pipe.ack_out, clk_a, "ack_a");
         let req_synced_b = two_flop(&mut nl, pipe.req_out, clk_b, "req_b");
-        nl.finalize();
         let mut sim = Simulator::new(nl);
         sim.drive(pipe.req_in, Logic::L0);
         sim.drive(pipe.ack_in, Logic::L0);

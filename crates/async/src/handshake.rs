@@ -136,7 +136,6 @@ pub fn run_four_phase(n_stages: usize, cycles: usize) -> Result<(usize, usize), 
     let mut nl = p.netlist.clone();
     // eager consumer: ack follows req_out after a delay
     nl.add_comp(Component::Buf { input: p.req_out, output: p.ack_in }, 30);
-    nl.finalize();
     let mut sim = Simulator::new(nl);
     sim.watch(p.req_in);
     sim.watch(p.ack_out);

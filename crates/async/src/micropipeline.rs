@@ -164,7 +164,7 @@ impl PipelineHarness {
     /// Build and initialise (everything low).
     pub fn new(stages: usize, width: usize, stage_delay_ps: u64) -> Self {
         let pipe = build(stages, width, stage_delay_ps, 5);
-        let mut sim = Simulator::new(pipe.netlist.clone());
+        let mut sim = Simulator::new(&pipe.netlist);
         sim.drive(pipe.req_in, Logic::L0);
         sim.drive(pipe.ack_in, Logic::L0);
         for &d in &pipe.data_in {

@@ -67,7 +67,7 @@ fn fig7_block_sim(c: &mut Criterion) {
     c.bench_function("fig7/block_64_vector_sweep", |b| {
         b.iter(|| {
             for m in 0..64u64 {
-                let mut sim = Simulator::new(elab.netlist.clone());
+                let mut sim = Simulator::new(&elab.netlist);
                 for i in 0..6 {
                     sim.drive(elab.vlane(0, 0, i), Logic::from_bool(m >> i & 1 == 1));
                 }
@@ -91,7 +91,7 @@ fn fig9_lut_dff(c: &mut Criterion) {
         let mut fabric = Fabric::new(5, 1);
         let p = dff(&mut fabric, 0, 0).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         sim.drive(p.d.net(&elab), Logic::L0);
         sim.drive(p.clk.net(&elab), Logic::L0);
         sim.drive(p.reset_n.net(&elab), Logic::L0);
@@ -120,7 +120,7 @@ fn fig10_adder(c: &mut Criterion) {
         let elab = elaborate(&fabric, &FabricTiming::default());
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let mut sim = Simulator::new(elab.netlist.clone());
+                let mut sim = Simulator::new(&elab.netlist);
                 for i in 0..n {
                     sim.drive(ports.a[i].0.net(&elab), Logic::L1);
                     sim.drive(ports.a[i].1.net(&elab), Logic::L0);
@@ -148,7 +148,7 @@ fn fig12_ecse(c: &mut Criterion) {
     let p = pmorph_async::ecse(&mut fabric, 0, 0).unwrap();
     let elab = elaborate(&fabric, &FabricTiming::default());
     c.bench_function("fig12/ecse_event_pair", |b| {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for n in [p.din.net(&elab), p.req.net(&elab), p.ack.net(&elab)] {
             sim.drive(n, Logic::L0);
         }

@@ -65,7 +65,7 @@ fn kernel_event_throughput(c: &mut Criterion) {
         group.throughput(Throughput::Elements(stages as u64));
         group.bench_with_input(BenchmarkId::from_parameter(stages), &nl, |b, nl| {
             b.iter(|| {
-                let mut sim = Simulator::new(nl.clone());
+                let mut sim = Simulator::new(nl);
                 sim.drive(en, Logic::L0);
                 sim.settle(1_000_000).unwrap();
                 sim.drive(en, Logic::L1);
@@ -173,7 +173,7 @@ fn kernel_levelized_vs_event(c: &mut Criterion) {
         bch.iter(|| {
             let mut acc = 0u32;
             for v in 0..1024u64 {
-                let mut sim = Simulator::new(nl.clone());
+                let mut sim = Simulator::new(&nl);
                 for (i, &n) in inputs.iter().enumerate() {
                     sim.drive(n, Logic::from_bool(v >> i & 1 == 1));
                 }
@@ -318,7 +318,7 @@ fn kernel_seq_bitsim(c: &mut Criterion) {
     let run_event = || {
         let mut mask = WideMask::zero(VARS);
         for v in 0..vectors {
-            let mut sim = Simulator::new(nl.clone());
+            let mut sim = Simulator::new(&nl);
             for (i, &n) in inputs.iter().enumerate() {
                 sim.drive(n, Logic::from_bool(v >> i & 1 == 1));
             }
@@ -384,7 +384,7 @@ fn kernel_fabric_rotated_array(c: &mut Criterion) {
             perimeter.push(elab.hlane(x, 0, lane));
         }
     }
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let initial = sim.snapshot();
     let run = |sim: &mut Simulator| {
         sim.restore(&initial);
@@ -484,6 +484,56 @@ fn kernel_micropipeline_deep(c: &mut Criterion) {
     group.throughput(Throughput::Elements(events_per_iter));
     group.bench_function("16_words", |b| b.iter(|| black_box(run(&mut h))));
     group.finish();
+}
+
+/// Simulator construction on a fabric design (`parity_tree(16)` through
+/// `tech_map` → `map_design_to_fabric` → `elaborate`, 4-LUTs split into
+/// Shannon tiles joined by stitches): lending the netlist, plus one
+/// settle, against cloning it first — the pattern `FabricDesign::eval`
+/// used per output per vector. The recorded check pins the borrowed
+/// construction's heap allocations: the same design padded with three
+/// times as many extra nets must not cost a single allocation more.
+fn kernel_sim_new_fabric_design(c: &mut Criterion) {
+    let circuit = pmorph_fpga::circuits::parity_tree(16);
+    let mapped = pmorph_fpga::tech_map(&circuit.netlist, &circuit.outputs, 4).expect("maps");
+    let fd = polymorphic_hw::flow::map_design_to_fabric(&mapped).expect("fabric maps");
+    let elab = fd.elaborate(&FabricTiming::default());
+    let nl = &elab.netlist;
+    let mut taps: Vec<NetId> = fd.input_taps.values().flatten().map(|p| p.net(&elab)).collect();
+    taps.sort_unstable();
+    let settle = |mut sim: Simulator| {
+        for (i, &n) in taps.iter().enumerate() {
+            sim.drive(n, Logic::from_bool(i % 3 == 0));
+        }
+        sim.settle(20_000_000).expect("fabric settles");
+        sim.stats().events
+    };
+    let mut group = c.benchmark_group("kernel/sim_new/fabric_design");
+    group.bench_function("borrowed", |b| b.iter(|| black_box(settle(Simulator::new(nl)))));
+    group.bench_function("clone_then_new", |b| {
+        b.iter(|| black_box(settle(Simulator::new(nl.clone()))))
+    });
+    group.finish();
+
+    let mut padded = nl.clone();
+    for i in 0..3 * nl.net_count() {
+        padded.add_net(format!("pad{i}"));
+    }
+    let allocs = |nl: &Netlist| {
+        ALLOC_CALLS.store(0, Ordering::SeqCst);
+        let sim = Simulator::new(nl);
+        let n = ALLOC_CALLS.load(Ordering::SeqCst);
+        drop(sim);
+        n
+    };
+    let (base, more) = (allocs(nl), allocs(&padded));
+    println!(
+        "kernel/sim_new: {base} allocations at {} nets, {more} at {} nets",
+        nl.net_count(),
+        padded.net_count()
+    );
+    let ok = c.record_check("sim_new_borrowed_no_per_net_alloc", base == more);
+    assert!(ok, "Simulator::new(&nl) allocations grew with the net count: {base} -> {more}");
 }
 
 /// The allocation-free claim, enforced: warm a 301-stage ring oscillator
@@ -624,6 +674,7 @@ criterion_group!(
     kernel_fabric_rotated_array,
     kernel_datapath_ripple16,
     kernel_micropipeline_deep,
+    kernel_sim_new_fabric_design,
     kernel_alloc_free_steady_state,
     kernel_obs_overhead,
     study_variation_mc,

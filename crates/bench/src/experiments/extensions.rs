@@ -20,7 +20,7 @@ const DEFECT_RATES: [f64; 3] = [0.002, 0.01, 0.03];
 fn lut_works_event(fabric: &Fabric, ports: &pmorph_synth::LutPorts, tt: &TruthTable) -> bool {
     let elab = elaborate(fabric, &FabricTiming::default());
     for m in 0..(1u64 << tt.vars()) {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for (v, p) in ports.inputs.iter().enumerate() {
             sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
         }
@@ -245,7 +245,7 @@ pub fn study_clockless_power() -> Experiment {
 
     // Clockless: 8-stage micropipeline, idle (no tokens), 100 ns.
     let pipe = pmorph_async::micropipeline::build(8, 1, 20, 5);
-    let mut sim = Simulator::new(pipe.netlist.clone());
+    let mut sim = Simulator::new(&pipe.netlist);
     sim.drive(pipe.req_in, Logic::L0);
     sim.drive(pipe.ack_in, Logic::L0);
     sim.drive(pipe.data_in[0], Logic::L0);
@@ -400,7 +400,7 @@ pub fn study_general_mapper_scaled(count: usize) -> Experiment {
             tiles = mapped.tiles;
             stitches = mapped.stitches.len();
             let elab = mapped.elaborate(&fabric, &FabricTiming::default());
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             let initial = sim.snapshot();
             let mut all_ok = true;
             for m in 0..(1u64 << n) {

@@ -30,7 +30,7 @@ pub fn fig7_nand_block() -> Experiment {
     let elab = elaborate(&fabric, &FabricTiming::default());
     let mut mismatches = 0;
     for m in 0..(1u64 << LANES) {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for c in 0..LANES {
             sim.drive(elab.vlane(0, 0, c), Logic::from_bool(m >> c & 1 == 1));
         }
@@ -84,7 +84,7 @@ pub fn fig8_array() -> Experiment {
         pmorph_synth::ft(b, 3, 3);
     }
     let elab = elaborate(&f, &t);
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     sim.drive(elab.vlane(0, 0, 3), Logic::L0);
     sim.settle(1_000_000).unwrap();
     sim.watch(elab.vlane(8, 0, 3));
@@ -135,7 +135,7 @@ pub fn fig9_lut_dff() -> Experiment {
         fabric.active_cells()
     ));
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let nets: Vec<_> = lut.inputs.iter().map(|p| p.net(&elab)).collect();
     let (clk, rst, q) = (ff.clk.net(&elab), ff.reset_n.net(&elab), ff.q.net(&elab));
     for &n in nets.iter().chain([&clk]) {
@@ -288,7 +288,7 @@ pub fn fig10_adder_check_event(vectors: &[(u64, u64)], cfg: &SweepConfig) -> Vec
         vectors.len(),
         cfg,
         || {
-            let sim = Simulator::new(elab.netlist.clone());
+            let sim = Simulator::new(&elab.netlist);
             let initial = sim.snapshot();
             AdderCtx { sim, initial }
         },
@@ -311,7 +311,7 @@ pub fn fig10_adder_check_flat(vectors: &[(u64, u64)]) -> Vec<bool> {
     let mut fabric = Fabric::new(2, 16);
     let ports = ripple_adder(&mut fabric, 0, 0, 8).unwrap();
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let initial = sim.snapshot();
     vectors
         .iter()
@@ -384,7 +384,7 @@ pub fn fig10_datapath() -> Experiment {
         let mut fabric = Fabric::new(2, 2 * n);
         let ports = ripple_adder(&mut fabric, 0, 0, n).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for i in 0..n {
             sim.drive(ports.a[i].0.net(&elab), Logic::L1);
             sim.drive(ports.a[i].1.net(&elab), Logic::L0);

@@ -73,7 +73,7 @@ pub fn fig12_ecse() -> Experiment {
         fabric.active_cells()
     ));
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let (din, r, a, z) = (p.din.net(&elab), p.req.net(&elab), p.ack.net(&elab), p.z.net(&elab));
     for (n, v) in [(din, Logic::L0), (r, Logic::L0), (a, Logic::L0)] {
         sim.drive(n, v);

@@ -81,13 +81,14 @@ impl Elaborated {
     /// accumulator's register→adder rails). The pure-fabric equivalent is
     /// demonstrated by `pmorph-synth`'s routed-ring tests; this shortcut
     /// keeps large datapath experiments compact. The delay models the
-    /// return path (`delay_ps` ≈ blocks × hop delay).
+    /// return path (`delay_ps` ≈ blocks × hop delay). The netlist is
+    /// already finalized, so adding the buffer appends its fan-out and
+    /// driver entries in place: no rebuild per stitch.
     pub fn stitch(&mut self, from: NetId, to: NetId, delay_ps: u64) {
         if from == to {
             return; // already the same boundary: direct abutment
         }
         self.netlist.add_comp(Component::Buf { input: from, output: to }, delay_ps.max(1));
-        self.netlist.finalize();
     }
 
     /// Boundary lanes with more than one driver (potential contention).
@@ -217,7 +218,7 @@ mod tests {
         b.drivers[0] = OutMode::Buf;
         let elab = elaborate(&f, &timing());
         for bits in 0..8u8 {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             for c in 0..3 {
                 sim.drive(elab.vlane(0, 0, c), Logic::from_bool(bits >> c & 1 == 1));
             }
@@ -246,7 +247,7 @@ mod tests {
         }
         let elab = elaborate(&f, &timing());
         let t = timing();
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let input = elab.vlane(0, 0, 2);
         let output = elab.vlane(3, 0, 2);
         sim.drive(input, Logic::L0);
@@ -270,7 +271,7 @@ mod tests {
         b.set_term(4, &[4]);
         b.drivers[4] = OutMode::Inv;
         let elab = elaborate(&f, &timing());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         sim.drive(elab.vlane(0, 0, 4), Logic::L1);
         sim.settle(100_000).unwrap();
         assert_eq!(
@@ -299,7 +300,7 @@ mod tests {
         b.set_term(2, &[4]);
         b.drivers[2] = OutMode::Inv; // east lane2 = lfb0
         let elab = elaborate(&f, &timing());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let s = elab.vlane(0, 0, 0);
         let r = elab.vlane(0, 0, 1);
         let q = elab.vlane(1, 0, 2);
@@ -340,6 +341,27 @@ mod tests {
     }
 
     #[test]
+    fn stitch_onto_a_driven_lane_is_reported() {
+        // Block (0,0) drives vlane(1,0,0); a stitch buffer then drives the
+        // same lane from the fabric's west perimeter.
+        let mut f = Fabric::new(1, 1);
+        let b = f.block_mut(0, 0);
+        b.set_term(0, &[0]);
+        b.drivers[0] = OutMode::Buf;
+        let mut elab = elaborate(&f, &timing());
+        let lane = elab.vlane(1, 0, 0);
+        assert!(elab.multiply_driven_lanes().is_empty());
+        elab.stitch(elab.vlane(0, 0, 1), lane, 10);
+        assert_eq!(elab.multiply_driven_lanes(), vec![lane]);
+        // The in-place tables equal a full rebuild.
+        let mut rebuilt = elab.netlist.clone();
+        rebuilt.finalize();
+        for (got, want) in elab.netlist.nets.iter().zip(&rebuilt.nets) {
+            assert_eq!((&got.fanout, &got.drivers), (&want.fanout, &want.drivers));
+        }
+    }
+
+    #[test]
     fn input_source_one_ties_high() {
         let mut f = Fabric::new(1, 1);
         let b = f.block_mut(0, 0);
@@ -347,7 +369,7 @@ mod tests {
         b.set_term(0, &[0]);
         b.drivers[0] = OutMode::Buf; // NAND(1) = 0
         let elab = elaborate(&f, &timing());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         sim.settle(100_000).unwrap();
         assert_eq!(sim.value(elab.vlane(1, 0, 0)), Logic::L0);
     }

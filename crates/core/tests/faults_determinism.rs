@@ -36,7 +36,7 @@ fn behaviour_fingerprint(faulty: &Fabric) -> Vec<Logic> {
     let elab = elaborate(faulty, &FabricTiming::default());
     let mut out = Vec::new();
     for m in [0b000u64, 0b011, 0b101, 0b111] {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for c in 0..3 {
             sim.drive(elab.vlane(0, 0, c), Logic::from_bool(m >> c & 1 == 1));
         }

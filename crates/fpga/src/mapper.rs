@@ -300,7 +300,7 @@ pub fn verify_mapping(netlist: &Netlist, design: &MappedDesign, seed: u64, vecto
         let assignment: HashMap<NetId, bool> =
             design.inputs.iter().map(|&n| (n, rng.random())).collect();
         // reference: event-driven simulation
-        let mut sim = pmorph_sim::Simulator::new(netlist.clone());
+        let mut sim = pmorph_sim::Simulator::new(netlist);
         for (&n, &v) in &assignment {
             sim.drive(n, Logic::from_bool(v));
         }

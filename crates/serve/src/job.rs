@@ -188,6 +188,10 @@ pub enum JobSpec {
         /// Milliseconds per step.
         step_ms: u64,
     },
+    /// Test-only job that panics mid-run, exercising the worker's panic
+    /// isolation.
+    #[cfg(test)]
+    Panic,
 }
 
 /// Spec validation failure (maps to HTTP 400).
@@ -426,6 +430,8 @@ impl JobSpec {
                     step_ms: get_int(doc, "step_ms", 0, 1_000)?,
                 })
             }
+            #[cfg(test)]
+            "panic" => Ok(JobSpec::Panic),
             other => Err(err(format!(
                 "unknown job type `{other}` (one of: truth_sweep, seq_sweep, \
                  fault_campaign, place_route, poly_sweep, sleep)"
@@ -442,6 +448,8 @@ impl JobSpec {
             JobSpec::PlaceRoute { .. } => "place_route",
             JobSpec::PolySweep { .. } => "poly_sweep",
             JobSpec::Sleep { .. } => "sleep",
+            #[cfg(test)]
+            JobSpec::Panic => "panic",
         }
     }
 
@@ -498,6 +506,8 @@ impl JobSpec {
                 obj.set("steps", Value::Num(*steps as f64));
                 obj.set("step_ms", Value::Num(*step_ms as f64));
             }
+            #[cfg(test)]
+            JobSpec::Panic => {}
         }
         obj.to_string_compact()
     }
@@ -818,6 +828,8 @@ pub fn run(spec: &JobSpec, cache: &ArtifactCache, cancel: &AtomicBool) -> Result
             }
             payload.set("steps_done", Value::Num(done as f64));
         }
+        #[cfg(test)]
+        JobSpec::Panic => panic!("injected job panic"),
     }
     Ok(payload)
 }

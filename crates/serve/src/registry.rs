@@ -29,7 +29,9 @@
 use crate::cache::ArtifactCache;
 use crate::job::{self, JobError, JobSpec};
 use pmorph_util::json::Value;
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -505,7 +507,16 @@ pub fn parse_job_id(s: &str) -> Option<u64> {
 pub fn run_one(registry: &Registry, id: u64, spec: &JobSpec, cancel: &AtomicBool) {
     let obs_base = pmorph_obs::enabled().then(pmorph_obs::snapshot);
     let t0 = Instant::now();
-    let outcome = job::run(spec, registry.cache(), cancel);
+    // A panicking job fails alone: its record goes `failed` with the panic
+    // message, the `running` count drops (so the shutdown drain can
+    // finish) and this worker goes on claiming jobs. Nothing the run
+    // shares outlives it except the artifact cache, whose lock is never
+    // held while job code runs.
+    let run = AssertUnwindSafe(|| job::run(spec, registry.cache(), cancel));
+    let outcome = std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+        pmorph_obs::counter!("serve.job.panics").inc();
+        Err(JobError::Failed(format!("job panicked: {}", panic_message(payload.as_ref()))))
+    });
     let run_ns = t0.elapsed().as_nanos() as u64;
     // One span per job on the worker thread's own track, labelled by
     // job type — reuses the `t0` the metrics delta already took.
@@ -514,6 +525,15 @@ pub fn run_one(registry: &Registry, id: u64, spec: &JobSpec, cancel: &AtomicBool
     }
     let metrics = obs_base.map(|base| pmorph_obs::snapshot().delta_since(&base).to_json());
     registry.complete(id, outcome, metrics, run_ns);
+}
+
+/// The message a panic was raised with (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg,
+        None => payload.downcast_ref::<String>().map_or("non-string panic payload", String::as_str),
+    }
 }
 
 /// The persistent worker pool: `n` threads looping claim → run → record
@@ -705,6 +725,32 @@ mod tests {
         let status = reg.status_json(id).unwrap();
         assert_eq!(status.get("error").and_then(Value::as_str), Some("boom"));
         assert_eq!(reg.cache().stats().results, 0);
+    }
+
+    #[test]
+    fn panicking_job_fails_alone_and_the_worker_keeps_serving() {
+        pmorph_obs::force(true);
+        let panics = pmorph_obs::counter!("serve.job.panics");
+        let before = panics.get();
+        let reg = Arc::new(Registry::new());
+        // One worker: the job after the panic only runs if it survived.
+        let pool = WorkerPool::spawn(Arc::clone(&reg), 1);
+        let bad = reg.submit(spec(r#"{"type":"panic"}"#)).unwrap().id;
+        let good = reg.submit(sleep_spec(1, 0)).unwrap().id;
+        assert!(reg.wait_terminal(bad, Duration::from_secs(30)), "panicked job must finish");
+        assert_eq!(reg.state(bad), Some(JobState::Failed));
+        let status = reg.status_json(bad).unwrap();
+        assert_eq!(
+            status.get("error").and_then(Value::as_str),
+            Some("job panicked: injected job panic")
+        );
+        assert!(reg.wait_terminal(good, Duration::from_secs(30)), "worker must survive");
+        assert_eq!(reg.state(good), Some(JobState::Done));
+        let summary = reg.shutdown(true);
+        assert_eq!(summary.get("state").and_then(Value::as_str), Some("drained"));
+        pool.join();
+        assert!(panics.get() > before, "serve.job.panics counts the panic");
+        pmorph_obs::force_from_env();
     }
 
     #[test]

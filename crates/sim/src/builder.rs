@@ -184,7 +184,7 @@ mod tests {
         let z = b.nand(&[u, v]);
         let nl = b.build();
         for (vx, vy) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut sim = Simulator::new(nl.clone());
+            let mut sim = Simulator::new(&nl);
             sim.drive(x, Logic::from_bool(vx));
             sim.drive(y, Logic::from_bool(vy));
             sim.settle(10_000).unwrap();

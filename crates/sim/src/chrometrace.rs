@@ -13,16 +13,22 @@
 //! into the viewer.
 
 use crate::engine::Simulator;
-use crate::netlist::NetId;
+use crate::netlist::{NetId, Netlist};
 use pmorph_util::json::Value;
 
-/// Render the watched nets' toggle timelines as a Chrome trace document.
+/// Render the watched nets' toggle timelines of `sim`, which simulates
+/// `netlist` (the source of the net names), as a Chrome trace document.
 ///
 /// Nets that were never watched contribute a single interval holding
 /// their current value. Events are sorted (metadata records first, then
 /// by `ts`) and share one `pid`, matching what the trace-viewer schema
 /// expects from a single-process export.
-pub fn dump_chrome_trace(sim: &Simulator, nets: &[NetId], module: &str) -> Value {
+pub fn dump_chrome_trace(
+    sim: &Simulator,
+    netlist: &Netlist,
+    nets: &[NetId],
+    module: &str,
+) -> Value {
     let pid = std::process::id() as f64;
     // The end of the visible window: the sim clock, or the last recorded
     // change if the sim somehow sits earlier (restore rewinds time).
@@ -41,7 +47,7 @@ pub fn dump_chrome_trace(sim: &Simulator, nets: &[NetId], module: &str) -> Value
     metadata.push(meta_event("process_name", module, pid, 0.0));
     for (i, &n) in nets.iter().enumerate() {
         let tid = (i + 1) as f64;
-        let name = &sim.netlist().nets[n.0 as usize].name;
+        let name = &netlist.nets[n.0 as usize].name;
         metadata.push(meta_event("thread_name", name, pid, tid));
         let recorded = sim.trace(n);
         let fallback = [(0u64, sim.value(n))];
@@ -117,7 +123,7 @@ mod tests {
         let y = b.net("y");
         b.inv_into(a, y);
         let nl = b.build();
-        let mut sim = Simulator::new(nl);
+        let mut sim = Simulator::new(&nl);
         sim.watch(a);
         sim.watch(y);
         sim.drive(a, Logic::L0);
@@ -125,7 +131,7 @@ mod tests {
         sim.drive_at(a, Logic::L1, 100);
         sim.settle(1000).unwrap();
 
-        let doc = dump_chrome_trace(&sim, &[a, y], "top");
+        let doc = dump_chrome_trace(&sim, &nl, &[a, y], "top");
         // Round-trip through the serializer: the written file must parse.
         let doc = pmorph_util::json::parse(&doc.to_string_compact()).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
@@ -177,10 +183,10 @@ mod tests {
         let mut b = NetlistBuilder::new();
         let a = b.net("a");
         let nl = b.build();
-        let mut sim = Simulator::new(nl);
+        let mut sim = Simulator::new(&nl);
         sim.drive(a, Logic::L1);
         sim.settle(100).unwrap();
-        let doc = dump_chrome_trace(&sim, &[a], "top");
+        let doc = dump_chrome_trace(&sim, &nl, &[a], "top");
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
         let spans: Vec<&Value> =
             events.iter().filter(|e| e.get("ph").and_then(Value::as_str) == Some("X")).collect();

@@ -13,11 +13,16 @@
 //!
 //! ## Kernel layout
 //!
-//! [`Simulator::new`] compiles the `Component` graph into CSR (compressed
+//! [`Simulator::new`] compiles the `Component` list into CSR (compressed
 //! sparse row) arrays — fan-in (`comp → nets read`), fan-out (`net → comps
-//! reading`), and per-net driver-slot lists with the `(comp, port) → slot`
-//! arithmetic pre-applied — so the steady-state event loop touches only
-//! contiguous flat arrays. Component evaluation goes through the in-place
+//! reading`, deduplicated as [`Netlist::finalize`] does), and per-net
+//! driver-slot lists with the `(comp, port) → slot` arithmetic pre-applied
+//! — straight from the components, by a counting sort in component order.
+//! It never reads the netlist's net tables and never calls `finalize`, so a
+//! borrowed netlist costs one clone of the components and delays (the only
+//! state the simulator keeps) and a handful of flat arrays, with no
+//! allocation per net. The steady-state event loop touches only those
+//! contiguous arrays. Component evaluation goes through the in-place
 //! [`crate::netlist::Component::evaluate_into`] writing into a fixed
 //! `[Logic; MAX_OUTPUTS]` scratch, net resolution takes a two-read fast path
 //! for the dominant single-driver case, and scheduling runs on the calendar
@@ -28,8 +33,9 @@
 //! test pins the two to bit-identical traces.
 
 use crate::logic::Logic;
-use crate::netlist::{CompId, CompState, NetId, Netlist, MAX_OUTPUTS};
+use crate::netlist::{CompId, CompState, Component, NetId, Netlist, PortRef, MAX_OUTPUTS};
 use crate::queue::{Event, EventKey, EventQueue, QueueCounters};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Simulation failure modes.
@@ -122,9 +128,13 @@ pub struct SimSnapshot {
     stats: SimStats,
 }
 
-/// The event-driven simulator. Owns the netlist (components carry state).
+/// The event-driven simulator. Keeps its own copy of the components
+/// (they carry state) and their delays, plus the CSR connectivity compiled
+/// from them; net names and the netlist's net tables are not kept.
 pub struct Simulator {
-    netlist: Netlist,
+    comps: Vec<Component>,
+    /// Propagation delay (picoseconds) of each component.
+    delays: Vec<u64>,
     /// Resolved value of each net.
     values: Vec<Logic>,
     /// Driver slots: one per component output port, then one external slot
@@ -143,8 +153,9 @@ pub struct Simulator {
     /// `comp_slot_base + port` arithmetic pre-applied.
     driver_off: Vec<u32>,
     driver_slot: Vec<u32>,
-    /// Slot index of each net's external driver.
-    external_slot: Vec<u32>,
+    /// Slot index of net 0's external driver; net `n`'s is
+    /// `external_base + n`.
+    external_base: u32,
     /// slot -> net it drives.
     slot_net: Vec<NetId>,
     /// (comp, port) -> slot, laid out as comp-major prefix sums.
@@ -162,55 +173,109 @@ pub struct Simulator {
     net_dirty_flag: Vec<bool>,
 }
 
-impl Simulator {
-    /// Build a simulator. All slots start at `Z`, all nets at the resolution
-    /// of their (empty) drivers; every component is evaluated once at t=0 so
-    /// constants and initial gate outputs propagate, and generators arm
-    /// their first event.
-    pub fn new(mut netlist: Netlist) -> Self {
-        netlist.finalize();
-        let n_nets = netlist.net_count();
-        let n_comps = netlist.comp_count();
-
-        let mut comp_slot_base = Vec::with_capacity(n_comps + 1);
-        let mut slot_net = Vec::new();
-        comp_slot_base.push(0u32);
-        for comp in &netlist.comps {
-            for out in comp.outputs() {
-                slot_net.push(out);
+/// Call `f(net, comp)` for every net each component reads, in component
+/// order. A component reading one net twice is visited once, as
+/// [`Netlist::finalize`] lists it in the net's fan-out: `last` (one entry
+/// per net, overwritten) remembers the last component visited.
+fn each_distinct_read(
+    fanin_off: &[u32],
+    fanin: &[NetId],
+    last: &mut [u32],
+    mut f: impl FnMut(usize, u32),
+) {
+    last.fill(u32::MAX);
+    for (c, w) in fanin_off.windows(2).enumerate() {
+        for &n in &fanin[w[0] as usize..w[1] as usize] {
+            let n = n.0 as usize;
+            if last[n] != c as u32 {
+                last[n] = c as u32;
+                f(n, c as u32);
             }
-            comp_slot_base.push(slot_net.len() as u32);
         }
-        let mut external_slot = Vec::with_capacity(n_nets);
-        for i in 0..n_nets {
-            external_slot.push(slot_net.len() as u32);
-            slot_net.push(NetId(i as u32));
-        }
+    }
+}
 
-        // CSR compilation: flatten the per-net Vec connectivity into
-        // contiguous offset/value arrays the hot loop can walk without
-        // pointer-chasing.
+/// Turn per-row counts in `off[1..]` into CSR row starts (`off[0] == 0`).
+fn prefix_sum(off: &mut [u32]) {
+    for i in 1..off.len() {
+        off[i] += off[i - 1];
+    }
+}
+
+/// After a fill pass that advanced every row start `off[r]` to its row's
+/// end, shift the array back so `off[r]` is row `r`'s start again.
+fn unshift(off: &mut [u32]) {
+    off.copy_within(..off.len() - 1, 1);
+    off[0] = 0;
+}
+
+impl Simulator {
+    /// Build a simulator from a borrowed (`&Netlist`) or owned netlist. A
+    /// borrowed netlist has its components and delays cloned; an owned one
+    /// has them moved. All slots start at `Z`, all nets at the resolution
+    /// of their (empty) drivers; every component is evaluated once at t=0
+    /// so constants and initial gate outputs propagate, and generators arm
+    /// their first event.
+    pub fn new<'a>(netlist: impl Into<Cow<'a, Netlist>>) -> Self {
+        let netlist = netlist.into();
+        let n_nets = netlist.net_count();
+        let (comps, delays) = match netlist {
+            Cow::Borrowed(nl) => (nl.comps.clone(), nl.delays.clone()),
+            Cow::Owned(nl) => (nl.comps, nl.delays),
+        };
+        Self::compile(n_nets, comps, delays)
+    }
+
+    /// Compile the CSR connectivity straight from the components (see the
+    /// module docs), then run the t=0 initialisation.
+    fn compile(n_nets: usize, comps: Vec<Component>, delays: Vec<u64>) -> Self {
+        let n_comps = comps.len();
+        let n_in: usize = comps.iter().map(|c| c.inputs().len()).sum();
+        let n_out: usize = comps.iter().map(Component::output_count).sum();
+
+        // Output slots in comp-major port order, then one external slot
+        // per net. Every array is sized up front: no growth reallocation.
+        let mut comp_slot_base = Vec::with_capacity(n_comps + 1);
+        let mut slot_net = Vec::with_capacity(n_out + n_nets);
         let mut fanin_off = Vec::with_capacity(n_comps + 1);
-        let mut fanin = Vec::new();
+        let mut fanin = Vec::with_capacity(n_in);
+        comp_slot_base.push(0u32);
         fanin_off.push(0u32);
-        for comp in &netlist.comps {
+        for comp in &comps {
+            slot_net.extend(comp.outputs());
+            comp_slot_base.push(slot_net.len() as u32);
             fanin.extend(comp.inputs());
             fanin_off.push(fanin.len() as u32);
         }
-        let mut fanout_off = Vec::with_capacity(n_nets + 1);
-        let mut fanout = Vec::new();
-        let mut driver_off = Vec::with_capacity(n_nets + 1);
-        let mut driver_slot = Vec::new();
-        fanout_off.push(0u32);
-        driver_off.push(0u32);
-        for net in &netlist.nets {
-            fanout.extend_from_slice(&net.fanout);
-            fanout_off.push(fanout.len() as u32);
-            for d in &net.drivers {
-                driver_slot.push(comp_slot_base[d.comp.0 as usize] + d.port as u32);
-            }
-            driver_off.push(driver_slot.len() as u32);
+        slot_net.extend((0..n_nets as u32).map(NetId));
+
+        // Fan-out by counting sort over the components in id order: count
+        // each net's readers, then place them.
+        let mut last_reader = vec![0u32; n_nets];
+        let mut fanout_off = vec![0u32; n_nets + 1];
+        each_distinct_read(&fanin_off, &fanin, &mut last_reader, |n, _| fanout_off[n + 1] += 1);
+        prefix_sum(&mut fanout_off);
+        let mut fanout = vec![CompId(0); fanout_off[n_nets] as usize];
+        each_distinct_read(&fanin_off, &fanin, &mut last_reader, |n, c| {
+            fanout[fanout_off[n] as usize] = CompId(c);
+            fanout_off[n] += 1;
+        });
+        unshift(&mut fanout_off);
+
+        // Driver slots by the same counting sort over the output slots,
+        // which are already in (comp, port) order.
+        let mut driver_off = vec![0u32; n_nets + 1];
+        for n in &slot_net[..n_out] {
+            driver_off[n.0 as usize + 1] += 1;
         }
+        prefix_sum(&mut driver_off);
+        let mut driver_slot = vec![0u32; n_out];
+        for (s, n) in slot_net[..n_out].iter().enumerate() {
+            let i = n.0 as usize;
+            driver_slot[driver_off[i] as usize] = s as u32;
+            driver_off[i] += 1;
+        }
+        unshift(&mut driver_off);
 
         let mut sim = Simulator {
             values: vec![Logic::Z; n_nets],
@@ -221,7 +286,7 @@ impl Simulator {
             fanout,
             driver_off,
             driver_slot,
-            external_slot,
+            external_base: n_out as u32,
             slot_net,
             comp_slot_base,
             queue: EventQueue::new(0),
@@ -230,10 +295,11 @@ impl Simulator {
             stats: SimStats::default(),
             traces: vec![None; n_nets],
             dirty_nets: Vec::new(),
-            dirty_comps: Vec::new(),
+            dirty_comps: Vec::with_capacity(n_comps),
             comp_dirty_flag: vec![false; n_comps],
             net_dirty_flag: vec![false; n_nets],
-            netlist,
+            comps,
+            delays,
         };
         for s in &mut sim.slots {
             s.value = Logic::Z;
@@ -243,8 +309,8 @@ impl Simulator {
         // definite pre-edge level at t=0.
         let mut out = [Logic::Z; MAX_OUTPUTS];
         for c in 0..n_comps {
-            if sim.netlist.comps[c].is_generator() {
-                let nports = sim.netlist.comps[c].evaluate_into(&sim.values, &mut out);
+            if sim.comps[c].is_generator() {
+                let nports = sim.comps[c].evaluate_into(&sim.values, &mut out);
                 for (port, &value) in out.iter().enumerate().take(nports) {
                     let slot = sim.comp_slot_base[c] + port as u32;
                     sim.slots[slot as usize].value = value;
@@ -260,16 +326,11 @@ impl Simulator {
         sim.eval_dirty_comps();
         // Arm generators.
         for c in 0..n_comps {
-            if sim.netlist.comps[c].is_generator() {
+            if sim.comps[c].is_generator() {
                 sim.arm_generator(CompId(c as u32));
             }
         }
         sim
-    }
-
-    /// Immutable view of the simulated netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
     }
 
     /// Current simulation time in picoseconds.
@@ -292,6 +353,17 @@ impl Simulator {
     pub fn fanout(&self, net: NetId) -> &[CompId] {
         let n = net.0 as usize;
         &self.fanout[self.fanout_off[n] as usize..self.fanout_off[n + 1] as usize]
+    }
+
+    /// Component output ports driving a net, in `(comp, port)` order (the
+    /// compiled CSR driver slots, mapped back to ports).
+    pub fn drivers(&self, net: NetId) -> impl Iterator<Item = PortRef> + '_ {
+        let n = net.0 as usize;
+        let slots = &self.driver_slot[self.driver_off[n] as usize..self.driver_off[n + 1] as usize];
+        slots.iter().map(|&s| {
+            let c = self.comp_slot_base.partition_point(|&base| base <= s) - 1;
+            PortRef { comp: CompId(c as u32), port: (s - self.comp_slot_base[c]) as u8 }
+        })
     }
 
     /// Resolved value of a net.
@@ -327,7 +399,7 @@ impl Simulator {
     /// Drive a net's external slot at an absolute future time.
     pub fn drive_at(&mut self, net: NetId, value: Logic, time: u64) {
         assert!(time >= self.time, "cannot schedule in the past");
-        let slot = self.external_slot[net.0 as usize];
+        let slot = self.external_base + net.0;
         let key = EventKey { time, seq: self.seq };
         self.seq += 1;
         self.push_event(Event { key, slot, value, version: 0, generator: None, forced: true });
@@ -346,7 +418,7 @@ impl Simulator {
         SimSnapshot {
             values: self.values.clone(),
             slots: self.slots.clone(),
-            comp_states: self.netlist.comps.iter().map(|c| c.save_state()).collect(),
+            comp_states: self.comps.iter().map(|c| c.save_state()).collect(),
             events: self.queue.events_sorted(),
             time: self.time,
             seq: self.seq,
@@ -362,7 +434,7 @@ impl Simulator {
         assert_eq!(snap.slots.len(), self.slots.len(), "snapshot from a different netlist");
         self.values.copy_from_slice(&snap.values);
         self.slots.copy_from_slice(&snap.slots);
-        for (c, s) in self.netlist.comps.iter_mut().zip(&snap.comp_states) {
+        for (c, s) in self.comps.iter_mut().zip(&snap.comp_states) {
             c.load_state(*s);
         }
         self.time = snap.time;
@@ -548,7 +620,7 @@ impl Simulator {
 
     fn resolve_net(&mut self, net: NetId) -> Logic {
         let i = net.0 as usize;
-        let ext = self.slots[self.external_slot[i] as usize].value;
+        let ext = self.slots[self.external_base as usize + i].value;
         let start = self.driver_off[i] as usize;
         let end = self.driver_off[i + 1] as usize;
         match end - start {
@@ -587,12 +659,12 @@ impl Simulator {
             let c = self.dirty_comps[di] as usize;
             di += 1;
             self.comp_dirty_flag[c] = false;
-            if self.netlist.comps[c].is_generator() {
+            if self.comps[c].is_generator() {
                 continue; // generators schedule themselves
             }
             self.stats.evals += 1;
-            let nports = self.netlist.comps[c].evaluate_into(&self.values, &mut out);
-            let delay = self.netlist.delays[c].max(1);
+            let nports = self.comps[c].evaluate_into(&self.values, &mut out);
+            let delay = self.delays[c].max(1);
             let base = self.comp_slot_base[c];
             for (port, &value) in out.iter().enumerate().take(nports) {
                 self.schedule(base + port as u32, value, now + delay, None);
@@ -603,7 +675,7 @@ impl Simulator {
 
     fn arm_generator(&mut self, comp: CompId) {
         let now = self.time;
-        if let Some((t, port, value)) = self.netlist.comps[comp.0 as usize].next_generated(now) {
+        if let Some((t, port, value)) = self.comps[comp.0 as usize].next_generated(now) {
             let slot = self.comp_slot_base[comp.0 as usize] + port as u32;
             let slot_ref = &mut self.slots[slot as usize];
             slot_ref.version = slot_ref.version.wrapping_add(1);
@@ -1010,7 +1082,7 @@ mod tests {
         // Restoring a t=0 snapshot must be indistinguishable from building
         // a new Simulator — the contract the sweep paths rely on.
         let (nl, a, b, y) = nand2();
-        let mut reused = Simulator::new(nl.clone());
+        let mut reused = Simulator::new(&nl);
         let snap = reused.snapshot();
         for vector in 0..4u8 {
             let (va, vb) = (Logic::from_bool(vector & 1 == 1), Logic::from_bool(vector & 2 == 2));
@@ -1018,7 +1090,7 @@ mod tests {
             reused.drive(a, va);
             reused.drive(b, vb);
             reused.settle(1000).unwrap();
-            let mut fresh = Simulator::new(nl.clone());
+            let mut fresh = Simulator::new(&nl);
             fresh.drive(a, va);
             fresh.drive(b, vb);
             fresh.settle(1000).unwrap();

@@ -182,7 +182,7 @@ mod tests {
                     .map(|(i, &n)| (n, Logic::from_bool(vector >> i & 1 == 1)))
                     .collect();
                 let fast = lev.eval(&assignment);
-                let mut sim = Simulator::new(nl.clone());
+                let mut sim = Simulator::new(&nl);
                 for &(n, v) in &assignment {
                     sim.drive(n, v);
                 }

@@ -7,6 +7,7 @@
 //! free, per the HPC guidance this project follows.
 
 use crate::logic::Logic;
+use std::borrow::Cow;
 
 /// Index of a net (wire) in a [`Netlist`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -144,6 +145,33 @@ impl Iterator for InputIter<'_> {
 
 impl ExactSizeIterator for InputIter<'_> {}
 
+/// A component's output nets in port order, held inline. Derefs to a
+/// slice and iterates by value, so callers index it or loop over it
+/// without the per-component `Vec` a connectivity pass would otherwise
+/// allocate.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct OutputNets {
+    nets: [NetId; MAX_OUTPUTS],
+    len: u8,
+}
+
+impl std::ops::Deref for OutputNets {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..self.len as usize]
+    }
+}
+
+impl IntoIterator for OutputNets {
+    type Item = NetId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<NetId, MAX_OUTPUTS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.nets.into_iter().take(self.len as usize)
+    }
+}
+
 /// Compact snapshot of a component's mutable state (flip-flop contents,
 /// C-element keepers, generator cursors). [`Component::save_state`] /
 /// [`Component::load_state`] let the simulator's sweep path reset a
@@ -203,8 +231,10 @@ impl Component {
         }
     }
 
-    /// Nets driven by this component, in port order.
-    pub fn outputs(&self) -> Vec<NetId> {
+    /// Nets driven by this component, in port order (inline; no
+    /// allocation).
+    pub fn outputs(&self) -> OutputNets {
+        let one = |n: NetId| OutputNets { nets: [n; MAX_OUTPUTS], len: 1 };
         match self {
             Component::Nand { output, .. }
             | Component::Nor { output, .. }
@@ -217,9 +247,9 @@ impl Component {
             | Component::Const { output, .. }
             | Component::CElement { output, .. }
             | Component::Clock { output, .. }
-            | Component::Stimulus { output, .. } => vec![*output],
-            Component::Dff { q, .. } | Component::Latch { q, .. } => vec![*q],
-            Component::Mutex { g1, g2, .. } => vec![*g1, *g2],
+            | Component::Stimulus { output, .. } => one(*output),
+            Component::Dff { q, .. } | Component::Latch { q, .. } => one(*q),
+            Component::Mutex { g1, g2, .. } => OutputNets { nets: [*g1, *g2], len: 2 },
         }
     }
 
@@ -564,6 +594,22 @@ pub struct Net {
     pub drivers: Vec<PortRef>,
 }
 
+/// A borrowed netlist: [`crate::Simulator::new`] clones only what it
+/// simulates (components and delays).
+impl<'a> From<&'a Netlist> for Cow<'a, Netlist> {
+    fn from(netlist: &'a Netlist) -> Self {
+        Cow::Borrowed(netlist)
+    }
+}
+
+/// An owned netlist: [`crate::Simulator::new`] moves its components and
+/// delays without copying them.
+impl From<Netlist> for Cow<'_, Netlist> {
+    fn from(netlist: Netlist) -> Self {
+        Cow::Owned(netlist)
+    }
+}
+
 /// A complete circuit: nets, components and per-component delays.
 #[derive(Clone, Debug, Default)]
 pub struct Netlist {
@@ -582,21 +628,35 @@ impl Netlist {
         Self::default()
     }
 
-    /// Add a named net, returning its id.
+    /// Add a named net, returning its id. A new net has no readers and no
+    /// drivers, so a finalized netlist stays finalized.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net { name: name.into(), ..Net::default() });
-        self.finalized = false;
         id
     }
 
     /// Add a component with the given propagation delay (ps ≥ 1 enforced by
-    /// the engine), returning its id.
+    /// the engine), returning its id. On a finalized netlist the new
+    /// component's fan-out and driver entries are appended in place —
+    /// exactly what [`Netlist::finalize`] would derive, since the new
+    /// component has the highest id — so the tables stay current without
+    /// a rebuild.
     pub fn add_comp(&mut self, comp: Component, delay_ps: u64) -> CompId {
         let id = CompId(self.comps.len() as u32);
+        if self.finalized {
+            for n in comp.inputs() {
+                let fanout = &mut self.nets[n.0 as usize].fanout;
+                if fanout.last() != Some(&id) {
+                    fanout.push(id);
+                }
+            }
+            for (p, n) in comp.outputs().into_iter().enumerate() {
+                self.nets[n.0 as usize].drivers.push(PortRef { comp: id, port: p as u8 });
+            }
+        }
         self.comps.push(comp);
         self.delays.push(delay_ps);
-        self.finalized = false;
         id
     }
 
@@ -615,8 +675,10 @@ impl Netlist {
         self.nets.iter().position(|n| n.name == name).map(|i| NetId(i as u32))
     }
 
-    /// Rebuild fanout and driver lists. Idempotent; called automatically by
-    /// the simulator constructor.
+    /// Rebuild fanout and driver lists. Idempotent. Once finalized, the
+    /// tables stay current through later [`Netlist::add_net`] and
+    /// [`Netlist::add_comp`] calls. The event simulator does not need
+    /// them: it compiles its own connectivity from the components.
     pub fn finalize(&mut self) {
         for net in &mut self.nets {
             net.fanout.clear();

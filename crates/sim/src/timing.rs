@@ -222,7 +222,7 @@ mod tests {
         let nl = b.build();
         let (report, _) = analyze(&nl);
         assert_eq!(report.critical_ps, 3 * 9, "3 XOR levels");
-        let mut sim = Simulator::new(nl.clone());
+        let mut sim = Simulator::new(&nl);
         for &n in &inputs {
             sim.drive(n, Logic::L0);
         }

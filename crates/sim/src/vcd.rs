@@ -6,15 +6,16 @@
 //! machines.
 
 use crate::engine::Simulator;
-use crate::netlist::NetId;
+use crate::netlist::{NetId, Netlist};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Produce a VCD document for the given watched nets.
+/// Produce a VCD document for the given watched nets of `sim`, which
+/// simulates `netlist` (the source of the net names).
 ///
 /// Nets that were never watched contribute only their current value at time
 /// zero. The timescale is 1 ps to match the kernel's time unit.
-pub fn dump_vcd(sim: &Simulator, nets: &[NetId], module: &str) -> String {
+pub fn dump_vcd(sim: &Simulator, netlist: &Netlist, nets: &[NetId], module: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "$date polymorphic-hw simulation $end");
     let _ = writeln!(out, "$version pmorph-sim $end");
@@ -22,7 +23,7 @@ pub fn dump_vcd(sim: &Simulator, nets: &[NetId], module: &str) -> String {
     let _ = writeln!(out, "$scope module {module} $end");
     let codes: Vec<String> = (0..nets.len()).map(ident_code).collect();
     for (i, &n) in nets.iter().enumerate() {
-        let name = sanitize(&sim.netlist().nets[n.0 as usize].name);
+        let name = sanitize(&netlist.nets[n.0 as usize].name);
         let _ = writeln!(out, "$var wire 1 {} {} $end", codes[i], name);
     }
     let _ = writeln!(out, "$upscope $end");
@@ -90,14 +91,14 @@ mod tests {
         let y = b.net("y out");
         b.inv_into(a, y);
         let nl = b.build();
-        let mut sim = Simulator::new(nl);
+        let mut sim = Simulator::new(&nl);
         sim.watch(a);
         sim.watch(y);
         sim.drive(a, Logic::L0);
         sim.settle(1000).unwrap();
         sim.drive_at(a, Logic::L1, 100);
         sim.settle(1000).unwrap();
-        let vcd = dump_vcd(&sim, &[a, y], "top");
+        let vcd = dump_vcd(&sim, &nl, &[a, y], "top");
         assert!(vcd.contains("$timescale 1ps $end"));
         assert!(vcd.contains("$var wire 1 ! a $end"));
         assert!(vcd.contains("y_out"), "whitespace sanitised");

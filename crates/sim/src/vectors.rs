@@ -135,7 +135,7 @@ struct VectorCtx {
 
 impl VectorCtx {
     fn new(netlist: &Netlist) -> Self {
-        let sim = Simulator::new(netlist.clone());
+        let sim = Simulator::new(netlist);
         let initial = sim.snapshot();
         VectorCtx { sim, initial }
     }
@@ -217,7 +217,7 @@ pub fn exhaustive_truth_flat(
     // before each vector via snapshot/restore — bit-identical to a fresh
     // instance per vector (each vector stays independent of sweep order)
     // without re-elaborating the netlist 2^n times.
-    let mut sim = Simulator::new(netlist.clone());
+    let mut sim = Simulator::new(netlist);
     let initial = sim.snapshot();
     for assignment in 0u64..(1 << n) {
         if assignment > 0 {

@@ -50,7 +50,7 @@ fn run_oracle(
     watch: &[NetId],
     lane: u32,
 ) -> Vec<Vec<Logic>> {
-    let mut sim = Simulator::new(circuit.netlist.clone());
+    let mut sim = Simulator::new(&circuit.netlist);
     let half = circuit.half_period;
     let mut settled = Vec::with_capacity(stim.len());
     for (cycle, planes) in stim.iter().enumerate() {

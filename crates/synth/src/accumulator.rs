@@ -18,7 +18,7 @@ use crate::adder::{ripple_adder, AdderPorts};
 use crate::seq::{dff, DffPorts};
 use crate::tile::{MapError, PortLoc};
 use pmorph_core::{elaborate::elaborate, Fabric, FabricTiming};
-use pmorph_sim::{Logic, NetId, Simulator};
+use pmorph_sim::{Logic, NetId, Netlist, Simulator};
 
 /// A built accumulator: fabric plus port directory.
 #[derive(Clone, Debug)]
@@ -39,6 +39,9 @@ pub struct AccumulatorSim {
     pub n: usize,
     /// The simulator.
     pub sim: Simulator,
+    /// The elaborated, stitched netlist `sim` runs (net names for waveform
+    /// export).
+    pub netlist: Netlist,
     /// Addend rails `(b, b̄)` per bit.
     pub b: Vec<(NetId, NetId)>,
     /// Per-bit clock nets (drive together).
@@ -78,11 +81,11 @@ impl Accumulator {
         let clk = self.regs.iter().map(|r| r.clk.net(&elab)).collect();
         let reset_n = self.regs.iter().map(|r| r.reset_n.net(&elab)).collect();
         let q = self.regs.iter().map(|r| r.q.net(&elab)).collect();
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         // Carry-in of bit 0 is constant zero.
         sim.drive(self.adder.cin.0.net(&elab), Logic::L0);
         sim.drive(self.adder.cin.1.net(&elab), Logic::L1);
-        AccumulatorSim { n: self.n, sim, b, clk, reset_n, q }
+        AccumulatorSim { n: self.n, sim, netlist: elab.netlist, b, clk, reset_n, q }
     }
 
     /// Sum tap of bit `i` (for observation).

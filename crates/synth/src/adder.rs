@@ -193,7 +193,7 @@ mod tests {
         for a in 0..2u64 {
             for b in 0..2u64 {
                 for cin in [false, true] {
-                    let mut sim = Simulator::new(elab.netlist.clone());
+                    let mut sim = Simulator::new(&elab.netlist);
                     drive_operands(&mut sim, &elab, &ports, a, b, cin);
                     sim.settle(1_000_000).unwrap();
                     let want = a + b + cin as u64;
@@ -212,7 +212,7 @@ mod tests {
         let (elab, ports) = build(4);
         for a in 0..16u64 {
             for b in 0..16u64 {
-                let mut sim = Simulator::new(elab.netlist.clone());
+                let mut sim = Simulator::new(&elab.netlist);
                 drive_operands(&mut sim, &elab, &ports, a, b, false);
                 sim.settle(2_000_000).unwrap();
                 assert_eq!(read_result(&sim, &elab, &ports), Some(a + b), "{a}+{b}");
@@ -230,7 +230,7 @@ mod tests {
             let a = rng.random::<u64>() & 0xFFFF;
             let b = rng.random::<u64>() & 0xFFFF;
             let cin = rng.random::<bool>();
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             drive_operands(&mut sim, &elab, &ports, a, b, cin);
             sim.settle(10_000_000).unwrap();
             assert_eq!(read_result(&sim, &elab, &ports), Some(a + b + cin as u64), "{a}+{b}+{cin}");
@@ -242,7 +242,7 @@ mod tests {
         // Worst-case carry propagation: a = all ones, b = 0, toggle cin.
         let measure = |n: usize| -> u64 {
             let (elab, ports) = build(n);
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             drive_operands(&mut sim, &elab, &ports, (1 << n) - 1, 0, false);
             sim.settle(10_000_000).unwrap();
             let t0 = sim.time();

@@ -95,7 +95,7 @@ impl Counter {
         let clk = self.ffs.iter().map(|f| f.clk.net(&elab)).collect();
         let reset_n = self.ffs.iter().map(|f| f.reset_n.net(&elab)).collect();
         let q = self.ffs.iter().map(|f| f.q.net(&elab)).collect();
-        CounterSim { sim: Simulator::new(elab.netlist.clone()), clk, reset_n, q }
+        CounterSim { sim: Simulator::new(&elab.netlist), clk, reset_n, q }
     }
 
     /// Blocks used.

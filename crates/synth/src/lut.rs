@@ -118,7 +118,7 @@ mod tests {
         let ports = lut3(&mut fabric, 0, 0, tt).expect("maps");
         let elab = elaborate(&fabric, &FabricTiming::default());
         for m in 0..(1u64 << tt.vars()) {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             for (v, p) in ports.inputs.iter().enumerate() {
                 sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
             }

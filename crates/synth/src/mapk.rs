@@ -161,7 +161,7 @@ mod tests {
             .unwrap_or_else(|e| panic!("{}-var map failed: {e}", tt.vars()));
         let elab = mapped.elaborate(&fabric, &FabricTiming::default());
         for m in 0..(1u64 << tt.vars()) {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             for (v, ports) in mapped.var_ports.iter().enumerate() {
                 for p in ports {
                     sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));

@@ -95,7 +95,7 @@ mod tests {
             clk: p.clk.iter().map(|c| c.net(&elab)).collect(),
             rst: p.reset_n.iter().map(|r| r.net(&elab)).collect(),
             q: p.q.iter().map(|q| q.net(&elab)).collect(),
-            sim: Simulator::new(elab.netlist.clone()),
+            sim: Simulator::new(&elab.netlist),
         };
         // reset all stages
         h.sim.drive(h.din, Logic::L0);

@@ -276,7 +276,7 @@ mod tests {
     fn check_path(fabric: &Fabric, src: PortLoc, dst: PortLoc, lanes: &[usize]) {
         let elab = elaborate(fabric, &FabricTiming::default());
         for pattern in 0..(1u64 << lanes.len()) {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             for (i, &lane) in lanes.iter().enumerate() {
                 let p = PortLoc { lane, ..src };
                 sim.drive(p.net(&elab), Logic::from_bool(pattern >> i & 1 == 1));
@@ -375,7 +375,7 @@ mod tests {
         let path = router.route(&mut fabric, src, dst, &[0]).unwrap();
         assert_eq!(path.len(), 5, "around the ring: {path:?}");
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let en = PortLoc::new(1, 0, Edge::West, 1).net(&elab);
         sim.drive(en, Logic::L0);
         sim.settle(1_000_000).unwrap();

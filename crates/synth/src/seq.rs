@@ -198,7 +198,7 @@ mod tests {
         let mut fabric = Fabric::new(3, 1);
         let p = d_latch(&mut fabric, 0, 0).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let (d, en, q, qn) = (p.d.net(&elab), p.en.net(&elab), p.q.net(&elab), p.qn.net(&elab));
         sim.drive(en, Logic::L1);
         sim.drive(d, Logic::L1);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn dff_reset_clears() {
         let (elab, p) = fresh_dff();
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         sim.drive(p.d.net(&elab), Logic::L1);
         sim.drive(p.clk.net(&elab), Logic::L0);
         sim.drive(p.reset_n.net(&elab), Logic::L0);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn dff_captures_on_rising_edge_only() {
         let (elab, p) = fresh_dff();
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let (d, c, r, q) = (p.d.net(&elab), p.clk.net(&elab), p.reset_n.net(&elab), p.q.net(&elab));
         // initialise via reset
         sim.drive(d, Logic::L0);
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn dff_shifts_through_many_cycles() {
         let (elab, p) = fresh_dff();
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let (d, c, r, q) = (p.d.net(&elab), p.clk.net(&elab), p.reset_n.net(&elab), p.q.net(&elab));
         sim.drive(r, Logic::L0);
         sim.drive(c, Logic::L0);
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn dff_reset_mid_flight() {
         let (elab, p) = fresh_dff();
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let (d, c, r, q) = (p.d.net(&elab), p.clk.net(&elab), p.reset_n.net(&elab), p.q.net(&elab));
         sim.drive(r, Logic::L0);
         sim.drive(c, Logic::L0);

@@ -60,7 +60,7 @@ impl BitSerialAdder {
         elab.stitch(self.adder.cout.0.net(&elab), self.carry_ff.d.net(&elab), hop);
         elab.stitch(self.carry_ff.q.net(&elab), self.adder.cin.0.net(&elab), hop * 2);
         elab.stitch(self.carry_ff.qn.net(&elab), self.adder.cin.1.net(&elab), hop * 2);
-        let sim = Simulator::new(elab.netlist.clone());
+        let sim = Simulator::new(&elab.netlist);
         BitSerialSim {
             sim,
             a: (self.adder.a[0].0.net(&elab), self.adder.a[0].1.net(&elab)),

@@ -103,7 +103,7 @@ mod tests {
         }
         let elab = elaborate(&f, &FabricTiming::default());
         for v in [Logic::L0, Logic::L1] {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             sim.drive(PortLoc::new(0, 0, Edge::West, 0).net(&elab), v);
             sim.settle(100_000).unwrap();
             assert_eq!(sim.value(PortLoc::new(0, 0, Edge::East, 0).net(&elab)), v);

@@ -37,7 +37,7 @@ fn main() {
 
     println!("\n   a +   b = fabric (ripple delay)");
     for (a, b) in [(17u64, 5u64), (100, 155), (255, 1), (170, 85)] {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         drive(&mut sim, a, b);
         sim.settle(10_000_000).expect("settles");
         let mut bits: Vec<Logic> = adder.sum.iter().map(|p| sim.value(p.net(&elab))).collect();

@@ -19,7 +19,7 @@ fn run_machine(name: &str, next: &TruthTable, sequence: &[(u64, &str)]) {
     let mut fabric = Fabric::new(4, 1);
     let ports = synth_asm(&mut fabric, 0, 0, &spec).expect("compiles onto 4 blocks");
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     // start from a resetting input
     let reset_input =
         (0..(1u64 << spec.n_inputs)).find(|&m| spec.reaction(m) == Some(false)).unwrap_or(0);

@@ -34,7 +34,7 @@ fn main() {
     );
 
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let x = lut.inputs[0].net(&elab);
     let y = lut.inputs[1].net(&elab);
     let z = lut.inputs[2].net(&elab);

@@ -44,7 +44,7 @@ fn main() {
     let mut fabric = Fabric::new(3, 1);
     let cp = c_element(&mut fabric, 0, 0).expect("fits");
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let (a, b, c) = (cp.a.net(&elab), cp.b.net(&elab), cp.c.net(&elab));
     sim.drive(a, Logic::L0);
     sim.drive(b, Logic::L0);
@@ -61,7 +61,7 @@ fn main() {
     let mut fabric = Fabric::new(6, 1);
     let e = ecse(&mut fabric, 0, 0).expect("fits");
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let (din, r, ak, z) = (e.din.net(&elab), e.req.net(&elab), e.ack.net(&elab), e.z.net(&elab));
     for (n, v) in [(din, Logic::L0), (r, Logic::L0), (ak, Logic::L0)] {
         sim.drive(n, v);

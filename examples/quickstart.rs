@@ -45,7 +45,7 @@ fn main() {
     println!("\n f = i0·i1 + i2·i3");
     println!(" i0 i1 i2 i3 | f");
     for m in 0..16u64 {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for i in 0..4 {
             sim.drive(elab.vlane(0, 0, i), Logic::from_bool(m >> i & 1 == 1));
         }

@@ -8,7 +8,8 @@
 # cold/hit latency over live TCP) into BENCH_serve.json, and validates
 # each artifact with `benchcheck` (structure, positive medians, required
 # throughput workloads, and every recorded pass/fail check —
-# allocation-free steady state, the bitsim/ group's ≥10× bit-parallel
+# allocation-free steady state, no allocation per net in simulator
+# construction, the bitsim/ group's ≥10× bit-parallel
 # speedup over the scalar levelized sweep and its partial-word lane
 # masking for the kernel; bit-identity, the core-scaled sharded-vs-flat
 # speedup floor, the polymorphic synthesis proof sweeps' thread
@@ -66,10 +67,12 @@ echo "== validate $KERNEL_OUT =="
 if [ -n "$KERNEL_PREV" ]; then
     echo "   (obs-overhead gate: disabled-path medians within ${OBS_REGRESS_PCT}% of previous baseline)"
     cargo run -q -p pmorph-bench --bin benchcheck -- "$KERNEL_OUT" \
+        --check sim_new_borrowed_no_per_net_alloc \
         --baseline "$KERNEL_PREV" --max-regress-pct "$OBS_REGRESS_PCT"
     rm -f "$KERNEL_PREV"
 else
-    cargo run -q -p pmorph-bench --bin benchcheck -- "$KERNEL_OUT"
+    cargo run -q -p pmorph-bench --bin benchcheck -- "$KERNEL_OUT" \
+        --check sim_new_borrowed_no_per_net_alloc
 fi
 
 echo "== validate $SWEEPS_OUT =="

@@ -48,13 +48,15 @@ test -s target/trace.smoke.json
 echo "== kernel bench smoke (short budget) =="
 # A fast pass over the kernel suite: exercises every tracked workload
 # (including the bitsim/ bit-parallel group with its ≥10× speedup and
-# lane-masking checks), the allocation-free steady-state check, and
+# lane-masking checks), the allocation-free steady-state check, the
+# no-allocation-per-net check on simulator construction, and
 # benchcheck's validation of the JSON artifact — without paying for a
 # full baseline run.
 # Absolute sink path: cargo runs the bench binary from crates/bench/.
 PMORPH_BENCH_MS=20 PMORPH_BENCH_JSON="$(pwd)/target/BENCH_kernel.smoke.json" \
     cargo bench -q -p pmorph-bench --bench kernel >/dev/null
-cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_kernel.smoke.json
+cargo run -q -p pmorph-bench --bin benchcheck -- target/BENCH_kernel.smoke.json \
+    --check sim_new_borrowed_no_per_net_alloc
 
 echo "== hierarchical PnR thread matrix (release) =="
 # The hier-vs-flat differential and property suites must hold whether

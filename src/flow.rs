@@ -136,7 +136,7 @@ impl FabricDesign {
         assignment: &HashMap<u32, bool>,
         output: NetId,
     ) -> Option<bool> {
-        let mut sim = pmorph_sim::Simulator::new(elab.netlist.clone());
+        let mut sim = pmorph_sim::Simulator::new(&elab.netlist);
         for (net, ports) in &self.input_taps {
             let v = *assignment.get(net)?;
             for p in ports {
@@ -169,7 +169,7 @@ mod tests {
             let assignment: HashMap<u32, bool> =
                 design.inputs.iter().map(|n| (n.0, rng.random())).collect();
             // reference: simulate the original gate netlist
-            let mut sim = pmorph_sim::Simulator::new(c.netlist.clone());
+            let mut sim = pmorph_sim::Simulator::new(&c.netlist);
             for (net, v) in &assignment {
                 sim.drive(NetId(*net), Logic::from_bool(*v));
             }

@@ -30,7 +30,7 @@
 //!
 //! // …elaborate to a gate netlist and simulate it.
 //! let elab = elaborate(&fabric, &FabricTiming::default());
-//! let mut sim = Simulator::new(elab.netlist.clone());
+//! let mut sim = Simulator::new(&elab.netlist);
 //! for (v, p) in ports.inputs.iter().enumerate() {
 //!     sim.drive(p.net(&elab), Logic::from_bool(v == 1));
 //! }

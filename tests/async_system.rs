@@ -46,7 +46,7 @@ fn fifo_random_interleaving_stress() {
 fn fifo_handshake_protocol_is_clean() {
     // Watch the producer-side handshake during a run and audit it.
     let pipe = micropipeline::build(3, 4, 15, 5);
-    let mut sim = Simulator::new(pipe.netlist.clone());
+    let mut sim = Simulator::new(&pipe.netlist);
     sim.watch(pipe.req_in);
     sim.watch(pipe.ack_out);
     sim.drive(pipe.req_in, Logic::L0);
@@ -98,7 +98,7 @@ fn fabric_c_element_tree_synchronizes_three_requests() {
         .route_mapped(&mut fabric, top.c, PortLoc { lane: 0, ..lvl2.a }, &[(top.c.lane, 0)])
         .expect("routes");
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let a = top.a.net(&elab);
     let b = top.b.net(&elab);
     let c = PortLoc { lane: 1, ..lvl2.b }.net(&elab);

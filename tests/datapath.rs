@@ -16,7 +16,7 @@ fn build_adder(n: usize) -> (Elaborated, AdderPorts) {
 }
 
 fn run_add(elab: &Elaborated, ports: &AdderPorts, a: u64, b: u64, cin: bool) -> u64 {
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     for i in 0..ports.n {
         let av = a >> i & 1 == 1;
         let bv = b >> i & 1 == 1;
@@ -93,7 +93,7 @@ fn accumulator_long_sequence() {
 fn worst_case_ripple_delay_is_linear_in_width() {
     let measure = |n: usize| -> u64 {
         let (elab, ports) = build_adder(n);
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         // a = all ones, b = 0; cin toggle propagates through every bit
         for i in 0..n {
             sim.drive(ports.a[i].0.net(&elab), Logic::L1);

@@ -73,7 +73,7 @@ fn sim_trace(seed: u64) -> Vec<(u64, Logic)> {
     let mut trace = Vec::new();
     for _ in 0..16 {
         let m = rng.random_range(0u64..8);
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for (v, p) in ports.inputs.iter().enumerate() {
             sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
         }

@@ -58,7 +58,7 @@ fn build() -> FabricPipeline {
         blk.drivers[1] = OutMode::Buf;
     }
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let sim = Simulator::new(elab.netlist.clone());
+    let sim = Simulator::new(&elab.netlist);
     FabricPipeline {
         req: c1t.a.net(&elab),
         // ¬ack tap rides the free lane 1 of c2's input boundary

@@ -12,7 +12,7 @@ fn verify(tt: &TruthTable) {
     let ports = lut3(&mut fabric, 0, 0, tt).expect("maps");
     let elab = elaborate(&fabric, &FabricTiming::default());
     for m in 0..(1u64 << tt.vars()) {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for (v, p) in ports.inputs.iter().enumerate() {
             sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
         }
@@ -119,14 +119,14 @@ fn fabric_lut_agrees_with_fpga_mapping_of_same_function() {
         assert!(fpga::verify_mapping(&gate_nl, &mapped, bits, 8));
 
         for m in 0..8u64 {
-            let mut fsim = Simulator::new(elab.netlist.clone());
+            let mut fsim = Simulator::new(&elab.netlist);
             for (v, p) in ports.inputs.iter().enumerate() {
                 fsim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
             }
             fsim.settle(200_000).unwrap();
             let fabric_val = fsim.value(ports.output.net(&elab));
 
-            let mut gsim = Simulator::new(gate_nl.clone());
+            let mut gsim = Simulator::new(&gate_nl);
             for (v, &n) in ins.iter().enumerate() {
                 gsim.drive(n, Logic::from_bool(m >> v & 1 == 1));
             }
@@ -146,7 +146,7 @@ fn bitstream_survives_full_design() {
     let restored = Fabric::from_bitstream(&fabric.to_bitstream()).unwrap();
     assert_eq!(restored, fabric);
     let elab = elaborate(&restored, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     for (v, p) in ports.inputs.iter().enumerate() {
         sim.drive(p.net(&elab), Logic::from_bool(v == 0));
     }
@@ -176,7 +176,7 @@ fn alu_slice_via_general_mapper() {
     let mapped = mapk::map_function(&mut fabric, &alu).unwrap();
     let elab = mapped.elaborate(&fabric, &FabricTiming::default());
     for m in 0..16u64 {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for (v, ports) in mapped.var_ports.iter().enumerate() {
             for p in ports {
                 sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
@@ -203,7 +203,7 @@ fn sta_bounds_measured_adder_settle() {
     let (report, loops) = timing::analyze(&elab.netlist);
     assert!(!loops, "adder has no combinational loops (lfb is feed-forward)");
     // measure worst-case: a=all ones, toggle cin
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     for i in 0..n {
         sim.drive(ports.a[i].0.net(&elab), Logic::L1);
         sim.drive(ports.a[i].1.net(&elab), Logic::L0);

@@ -149,7 +149,7 @@ fn block_eval_matches_elaborated_simulation() {
         let mut fabric = Fabric::new(1, 1);
         *fabric.block_mut(0, 0) = cfg.clone();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         let mut edge_in = [Logic::X; LANES];
         for (c, &v) in inputs.iter().enumerate() {
             edge_in[c] = Logic::from_bool(v);
@@ -251,7 +251,7 @@ fn general_mapper_arbitrary_4var() {
         let mapped = mapk::map_function(&mut fabric, &tt).unwrap();
         let elab = mapped.elaborate(&fabric, &FabricTiming::default());
         for m in 0..16u64 {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             for (v, ports) in mapped.var_ports.iter().enumerate() {
                 for p in ports {
                     sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
@@ -275,7 +275,7 @@ fn adder_any_width_correct() {
         let mut fabric = Fabric::new(2, 2 * n);
         let ports = ripple_adder(&mut fabric, 0, 0, n).unwrap();
         let elab = elaborate(&fabric, &FabricTiming::default());
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for i in 0..n {
             let av = a >> i & 1 == 1;
             let bv = b >> i & 1 == 1;

@@ -28,7 +28,7 @@ fn hot_corner_design_round_trips_and_still_works() {
 
     let elab = elaborate(&restored, &timing);
     for m in 0..8u64 {
-        let mut sim = Simulator::new(elab.netlist.clone());
+        let mut sim = Simulator::new(&elab.netlist);
         for (v, p) in ports.inputs.iter().enumerate() {
             sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
         }
@@ -82,7 +82,7 @@ fn defect_aware_relocation_recovers_function() {
         let elab = elaborate(&faulty, &FabricTiming::default());
         let mut ok = true;
         for m in 0..8u64 {
-            let mut sim = Simulator::new(elab.netlist.clone());
+            let mut sim = Simulator::new(&elab.netlist);
             for (v, p) in ports.inputs.iter().enumerate() {
                 sim.drive(p.net(&elab), Logic::from_bool(m >> v & 1 == 1));
             }
@@ -118,7 +118,7 @@ fn power_model_separates_static_and_dynamic() {
     lut3(&mut fabric, 0, 0, &TruthTable::parity(3)).unwrap();
     let cells = fabric.active_cells();
     let elab = elaborate(&fabric, &FabricTiming::default());
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     sim.settle(1_000_000).unwrap();
     let settle_toggles = sim.stats().net_toggles;
     sim.run_until(sim.time() + 100_000, 1_000_000).unwrap();

@@ -18,7 +18,7 @@ fn vcd_of_a_running_accumulator_is_well_formed() {
     sim.step(1);
     sim.step(2);
     let nets = sim.q.clone();
-    let doc = vcd::dump_vcd(&sim.sim, &nets, "accumulator");
+    let doc = vcd::dump_vcd(&sim.sim, &sim.netlist, &nets, "accumulator");
     assert!(doc.contains("$timescale 1ps $end"));
     assert!(doc.contains("$enddefinitions $end"));
     // at least one timestamped change per register
@@ -65,7 +65,7 @@ fn measure_extracts_fabric_ring_oscillator_period() {
     router.route_mapped(&mut fabric, src, dst, &[(0, 0)]).unwrap();
     let t = FabricTiming::default();
     let elab = elaborate(&fabric, &t);
-    let mut sim = Simulator::new(elab.netlist.clone());
+    let mut sim = Simulator::new(&elab.netlist);
     let en = PortLoc::new(1, 0, Edge::West, 1).net(&elab);
     sim.drive(en, Logic::L0);
     sim.settle(1_000_000).unwrap();
